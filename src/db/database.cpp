@@ -67,25 +67,8 @@ const Table* Database::find_table_locked(std::string_view name) const {
   return it == tables_.end() ? nullptr : it->second.get();
 }
 
-Status Database::commit(LogRecord rec) {
-  MutexLock lock(commit_mu_);
-  return commit_locked(std::move(rec));
-}
-
-Status Database::commit_locked(LogRecord rec) {
-  auto it = tables_.find(rec.table);
-  if (it == tables_.end()) return Error("no table named " + rec.table);
-  Table& t = *it->second;
-
+Status Database::log_locked(LogRecord& rec) {
   rec.lsn = lsn_.load(std::memory_order_relaxed) + 1;
-
-  // Apply first (validates schema) — only then log and announce.
-  if (rec.op == LogRecord::Op::kUpsert) {
-    if (auto s = t.upsert(rec.row); !s.ok()) return s;
-  } else {
-    t.remove(rec.pk);  // removing a missing row is a logged no-op
-  }
-
   if (wal_) {
     if (auto s = wal_->append(rec); !s.ok()) return s;
   }
@@ -95,49 +78,52 @@ Status Database::commit_locked(LogRecord rec) {
 }
 
 Status Database::upsert(const std::string& table_name, Row row) {
+  MutexLock lock(commit_mu_);
+  Table* t = find_table_locked(table_name);
+  if (!t) return Error("no table named " + table_name);
+  // Apply first (validates schema) — only then log and announce.
+  if (auto s = t->upsert(row); !s.ok()) return s;
   LogRecord rec;
   rec.op = LogRecord::Op::kUpsert;
   rec.table = table_name;
   rec.row = std::move(row);
-  return commit(std::move(rec));
+  return log_locked(rec);
 }
 
-Status Database::remove(const std::string& table_name, std::string_view pk) {
+Result<bool> Database::remove(const std::string& table_name,
+                              std::string_view pk) {
+  MutexLock lock(commit_mu_);
+  Table* t = find_table_locked(table_name);
+  if (!t) return Error("no table named " + table_name);
+  const bool existed = t->remove(pk);
   LogRecord rec;
   rec.op = LogRecord::Op::kRemove;
   rec.table = table_name;
   rec.pk = std::string(pk);
-  return commit(std::move(rec));
+  if (auto s = log_locked(rec); !s.ok()) return s.error();
+  return existed;
 }
 
 Status Database::update_column(const std::string& table_name,
                                std::string_view pk, std::string_view column,
                                Value value) {
-  // Hold commit_mu_ across the whole read-modify-write: two concurrent
-  // update_column calls touching different columns of the same row must not
-  // interleave between the read and the commit, or one update is lost
-  // (the check-pointer rewriting `credit` raced rule edits before this).
+  // Hold commit_mu_ across the write and the log: two concurrent
+  // update_column calls touching different columns of the same row must log
+  // rows in the order they were written, or a replayed WAL loses one update.
   MutexLock lock(commit_mu_);
-  const Table* t = find_table_locked(table_name);
+  Table* t = find_table_locked(table_name);
   if (!t) return Error("no table named " + table_name);
-  auto row = t->get(pk);
-  if (!row) return Error("update: no row with key '" + std::string(pk) + "'");
-  std::size_t col;
-  try {
-    col = t->schema().column_index(column);
-  } catch (const std::out_of_range&) {
-    return Error("update: unknown column '" + std::string(column) + "'");
-  }
-  if (col == 0) return Error("update: cannot modify the primary key");
-  if (type_of(value) != t->schema().columns[col].type) {
-    return Error("update: type mismatch for column '" + std::string(column) + "'");
-  }
-  (*row)[col] = std::move(value);
   LogRecord rec;
   rec.op = LogRecord::Op::kUpsert;
   rec.table = table_name;
-  rec.row = std::move(*row);
-  return commit_locked(std::move(rec));
+  // The full row is only materialized for a consumer: with no WAL and no
+  // observer the check-point is one probe and one cell write.
+  Row* logged = (wal_ || !observers_.empty()) ? &rec.row : nullptr;
+  if (auto s = t->update_column(pk, column, std::move(value), logged);
+      !s.ok()) {
+    return s;
+  }
+  return log_locked(rec);
 }
 
 std::optional<Row> Database::get(std::string_view table_name,

@@ -45,8 +45,10 @@ class Database {
 
   // -- Mutations (logged + replicated) --------------------------------------
   Status upsert(const std::string& table, Row row);
-  Status remove(const std::string& table, std::string_view pk);
-  /// Single-column update, logged as a full-row upsert.
+  /// Delete by PK. The value says whether a row existed; the delete is
+  /// logged either way (removing a missing row is a replicated no-op).
+  Result<bool> remove(const std::string& table, std::string_view pk);
+  /// Single-column update, written in place and logged as a full-row upsert.
   Status update_column(const std::string& table, std::string_view pk,
                        std::string_view column, Value value);
 
@@ -91,8 +93,9 @@ class Database {
       JANUS_REQUIRES(commit_mu_);
   const Table* find_table_locked(std::string_view name) const
       JANUS_REQUIRES(commit_mu_);
-  Status commit(LogRecord rec) JANUS_EXCLUDES(commit_mu_);
-  Status commit_locked(LogRecord rec) JANUS_REQUIRES(commit_mu_);
+  /// Stamp the next LSN on an already-applied mutation, append it to the
+  /// WAL and announce it to observers.
+  Status log_locked(LogRecord& rec) JANUS_REQUIRES(commit_mu_);
   Status snapshot_locked(const std::string& path) const
       JANUS_REQUIRES(commit_mu_);
 

@@ -2,13 +2,20 @@
 
 namespace janus::db {
 
-RuleStore::RuleStore(Database& db) : db_(db) {
-  if (!db_.has_table(kTableName)) {
+namespace {
+
+const Table& ensure_table(Database& db) {
+  if (!db.has_table(RuleStore::kTableName)) {
     // Creation cannot fail here: we just checked absence and hold no lock
     // races on setup paths (RuleStore construction is a setup-time act).
-    (void)db_.create_table(kTableName, schema());
+    (void)db.create_table(RuleStore::kTableName, RuleStore::schema());
   }
+  return db.table(RuleStore::kTableName);
 }
+
+}  // namespace
+
+RuleStore::RuleStore(Database& db) : db_(db), table_(ensure_table(db)) {}
 
 Schema RuleStore::schema() {
   return Schema{{
@@ -19,13 +26,20 @@ Schema RuleStore::schema() {
   }};
 }
 
-Row RuleStore::to_row(const RuleRow& rule) {
-  return Row{rule.key, rule.refill_per_sec, rule.capacity, rule.credit};
+Row RuleStore::to_row(RuleRow&& rule) {
+  // Not Row{...}: an initializer list would copy the key.
+  Row row;
+  row.reserve(4);
+  row.emplace_back(std::move(rule.key));
+  row.emplace_back(rule.refill_per_sec);
+  row.emplace_back(rule.capacity);
+  row.emplace_back(rule.credit);
+  return row;
 }
 
-RuleRow RuleStore::from_row(const Row& row) {
+RuleRow RuleStore::from_row(Row row) {
   return RuleRow{
-      .key = std::get<std::string>(row[0]),
+      .key = std::get<std::string>(std::move(row[0])),
       .refill_per_sec = std::get<double>(row[1]),
       .capacity = std::get<double>(row[2]),
       .credit = std::get<double>(row[3]),
@@ -33,12 +47,12 @@ RuleRow RuleStore::from_row(const Row& row) {
 }
 
 std::optional<RuleRow> RuleStore::get(std::string_view key) const {
-  auto row = db_.get(kTableName, key);
+  auto row = table_.get(key);
   if (!row) return std::nullopt;
-  return from_row(*row);
+  return from_row(std::move(*row));
 }
 
-Status RuleStore::put(const RuleRow& rule) {
+Status RuleStore::put(RuleRow rule) {
   if (rule.key.empty()) return Error("rule: empty key");
   if (rule.capacity < 0 || rule.refill_per_sec < 0) {
     return Error("rule: negative capacity or refill rate");
@@ -46,7 +60,7 @@ Status RuleStore::put(const RuleRow& rule) {
   if (rule.credit < 0 || rule.credit > rule.capacity) {
     return Error("rule: credit outside [0, capacity]");
   }
-  return db_.upsert(kTableName, to_row(rule));
+  return db_.upsert(kTableName, to_row(std::move(rule)));
 }
 
 Status RuleStore::checkpoint_credit(std::string_view key, double credit) {
@@ -54,14 +68,16 @@ Status RuleStore::checkpoint_credit(std::string_view key, double credit) {
 }
 
 bool RuleStore::remove(std::string_view key) {
-  if (!db_.get(kTableName, key)) return false;
-  return db_.remove(kTableName, key).ok();
+  auto removed = db_.remove(kTableName, key);
+  return removed.ok() && removed.value();
 }
 
 void RuleStore::scan(const std::function<void(const RuleRow&)>& fn) const {
-  db_.scan(kTableName, [&](const Row& row) { fn(from_row(row)); });
+  table_.scan([&](const Row& row) { fn(from_row(row)); });
 }
 
-std::size_t RuleStore::size() const { return db_.table_size(kTableName); }
+std::size_t RuleStore::size() const { return table_.size(); }
+
+std::size_t RuleStore::memory_bytes() const { return table_.memory_bytes(); }
 
 }  // namespace janus::db

@@ -37,13 +37,16 @@ class RuleStore {
   /// SELECT * FROM qos_rules WHERE key = ? (first-touch lookup).
   std::optional<RuleRow> get(std::string_view key) const;
 
-  /// INSERT ... ON DUPLICATE KEY UPDATE (rule provisioning).
-  Status put(const RuleRow& rule);
+  /// INSERT ... ON DUPLICATE KEY UPDATE (rule provisioning). Takes the rule
+  /// by value so a caller done with it moves the key all the way into the
+  /// logged row.
+  Status put(RuleRow rule);
 
   /// UPDATE qos_rules SET credit = ? WHERE key = ? (check-pointing).
   Status checkpoint_credit(std::string_view key, double credit);
 
-  /// DELETE FROM qos_rules WHERE key = ?.
+  /// DELETE FROM qos_rules WHERE key = ?. True for exactly one of any
+  /// number of concurrent removers of the same row.
   bool remove(std::string_view key);
 
   /// SELECT * FROM qos_rules (warm-up load, §III-D).
@@ -51,13 +54,19 @@ class RuleStore {
 
   std::size_t size() const;
 
+  /// Bytes the qos_rules table holds (Table::memory_bytes).
+  std::size_t memory_bytes() const;
+
   Database& database() { return db_; }
 
  private:
-  static Row to_row(const RuleRow& rule);
-  static RuleRow from_row(const Row& row);
+  static Row to_row(RuleRow&& rule);
+  static RuleRow from_row(Row row);
 
   Database& db_;
+  // Reads go straight to the table (tables are never dropped), skipping
+  // the database's name lookup under its commit lock.
+  const Table& table_;
 };
 
 }  // namespace janus::db

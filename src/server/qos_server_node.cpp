@@ -63,6 +63,7 @@ QosServerNode::QosServerNode(net::UdpSocket socket, net::SockAddr addr,
     : config_(std::move(config)),
       socket_(std::move(socket)),
       addr_(std::move(addr)),
+      store_(store),
       source_(store),
       sink_(store),
       admission_(std::make_unique<core::AdmissionController>(
@@ -93,11 +94,14 @@ QosServerNode::QosServerNode(net::UdpSocket socket, net::SockAddr addr,
       cluster_deferred_(metrics_.counter("server.cluster_deferred")),
       migrated_in_(metrics_.counter("server.migrated_in")),
       migrated_out_(metrics_.counter("server.migrated_out")),
-      cluster_epoch_gauge_(metrics_.gauge("server.cluster_epoch")) {
+      cluster_epoch_gauge_(metrics_.gauge("server.cluster_epoch")),
+      db_rules_(metrics_.gauge("server.db_rules")),
+      db_bytes_(metrics_.gauge("server.db_bytes")) {
   const std::size_t n = config_.worker_threads;
   const bool sharded =
       config_.threading == core::ThreadingMode::kShardPerWorker;
   threading_mode_.set(sharded ? 1 : 0);
+  publish_db_stats();
   queue_wait_exemplar_.set_threshold(config_.slow_exemplar_us);
   service_exemplar_.set_threshold(config_.slow_exemplar_us);
 
@@ -288,6 +292,7 @@ std::string QosServerNode::render_hot_key_statusz() const {
 void QosServerNode::watchdog_pass() {
   if (stopping_.load(std::memory_order_acquire)) return;
   publish_uring_stats();
+  publish_db_stats();
   const bool sharded =
       config_.threading == core::ThreadingMode::kShardPerWorker;
   const std::uint64_t ts =
@@ -343,6 +348,11 @@ void QosServerNode::watchdog_pass() {
     watchdog_answered_strikes_ = 0;
   }
   watchdog_last_answered_ = answered;
+}
+
+void QosServerNode::publish_db_stats() {
+  db_rules_.set(static_cast<std::int64_t>(store_.size()));
+  db_bytes_.set(static_cast<std::int64_t>(store_.memory_bytes()));
 }
 
 void QosServerNode::sync_now() {

@@ -330,6 +330,9 @@ class QosServerNode {
   /// the server.uring_* metrics. Runs on the watchdog tick and once at
   /// stop() (no tick races stop(): the periodic tasks are joined first).
   void publish_uring_stats();
+  /// Refresh server.db_rules / server.db_bytes from the rules table. Runs
+  /// at construction and on every watchdog tick.
+  void publish_db_stats();
   /// Drain + execute every command on worker 0's maintenance queue; the
   /// fused listener calls this between batches (it owns worker 0's shards).
   bool drain_maintenance(WorkerState& st);
@@ -341,6 +344,7 @@ class QosServerNode {
   QosServerConfig config_;
   net::UdpSocket socket_;
   net::SockAddr addr_;
+  db::RuleStore& store_;
   core::DbRuleSource source_;
   core::DbRuleSink sink_;
   std::unique_ptr<core::AdmissionController> admission_;
@@ -381,6 +385,8 @@ class QosServerNode {
   Counter& migrated_in_;       // server.migrated_in (entries)
   Counter& migrated_out_;      // server.migrated_out (entries)
   Gauge& cluster_epoch_gauge_; // server.cluster_epoch
+  Gauge& db_rules_;            // server.db_rules (qos_rules rows)
+  Gauge& db_bytes_;            // server.db_bytes (qos_rules layout bytes)
 
   // Watchdog bookkeeping; touched only from the watchdog's PeriodicTask
   // thread, so plain fields suffice. A worker is flagged only after TWO

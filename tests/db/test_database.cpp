@@ -37,6 +37,25 @@ TEST(DatabaseTest, UpsertGetRemove) {
   EXPECT_EQ(db.get("t", "a"), std::nullopt);
 }
 
+TEST(DatabaseTest, RemoveReportsWhetherRowExisted) {
+  Database db;
+  ASSERT_TRUE(db.create_table("t", rules_schema()).ok());
+  ASSERT_TRUE(db.upsert("t", Row{std::string("a"), 1.0}).ok());
+  std::vector<LogRecord> log;
+  db.add_observer([&](const LogRecord& rec) { log.push_back(rec); });
+  auto first = db.remove("t", "a");
+  ASSERT_TRUE(first.ok());
+  EXPECT_TRUE(first.value());
+  auto second = db.remove("t", "a");
+  ASSERT_TRUE(second.ok());
+  EXPECT_FALSE(second.value());
+  // Both deletes are logged: removing a missing row is a replicated no-op.
+  ASSERT_EQ(log.size(), 2u);
+  EXPECT_EQ(log[1].op, LogRecord::Op::kRemove);
+  EXPECT_EQ(log[1].pk, "a");
+  EXPECT_EQ(db.lsn(), 3u);
+}
+
 TEST(DatabaseTest, MutationsOnMissingTableFail) {
   Database db;
   EXPECT_FALSE(db.upsert("nope", Row{std::string("a"), 1.0}).ok());
@@ -78,6 +97,8 @@ TEST(DatabaseTest, UpdateColumnCommitsFullRow) {
   db.add_observer([&](const LogRecord& rec) { last = rec; });
   ASSERT_TRUE(db.update_column("t", "a", "rate", 7.5).ok());
   EXPECT_EQ(last.op, LogRecord::Op::kUpsert);
+  EXPECT_EQ(last.table, "t");
+  EXPECT_EQ(last.row, (Row{std::string("a"), 7.5}));
   EXPECT_DOUBLE_EQ(std::get<double>(last.row[1]), 7.5);
   EXPECT_DOUBLE_EQ(std::get<double>((*db.get("t", "a"))[1]), 7.5);
 }

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <latch>
+#include <thread>
+#include <vector>
+
 #include "db/replication.hpp"
 
 namespace janus::db {
@@ -110,6 +115,28 @@ TEST(RuleStoreTest, RemoveReportsExistence) {
   EXPECT_TRUE(store.remove("alice"));
   EXPECT_FALSE(store.remove("alice"));
   EXPECT_EQ(store.get("alice"), std::nullopt);
+}
+
+TEST(RuleStoreTest, ConcurrentRemoversExactlyOneWins) {
+  // remove() is one locked delete, not a lookup followed by a delete: of
+  // two threads removing the same rule, exactly one may report it removed.
+  Database db;
+  RuleStore store(db);
+  for (int round = 0; round < 300; ++round) {
+    ASSERT_TRUE(store.put(sample_rule()).ok());
+    std::latch start(2);
+    std::atomic<int> winners{0};
+    std::vector<std::thread> removers;
+    for (int t = 0; t < 2; ++t) {
+      removers.emplace_back([&] {
+        start.arrive_and_wait();
+        if (store.remove("alice")) winners.fetch_add(1);
+      });
+    }
+    for (auto& th : removers) th.join();
+    ASSERT_EQ(winners.load(), 1) << "round " << round;
+    ASSERT_EQ(store.get("alice"), std::nullopt);
+  }
 }
 
 TEST(RuleStoreTest, ScanVisitsEveryRule) {

@@ -252,6 +252,15 @@ INSTANTIATE_TEST_SUITE_P(
                  : "SharedQueue";
     });
 
+TEST_F(QosServerTest, DbGaugesReportRulesTable) {
+  auto server = start_server();
+  const auto snap = server->metrics().snapshot();
+  EXPECT_EQ(snap.at("server.db_rules"), 2);
+  EXPECT_EQ(snap.at("server.db_bytes"),
+            static_cast<std::int64_t>(store_->memory_bytes()));
+  EXPECT_GT(snap.at("server.db_bytes"), 0);
+}
+
 TEST_F(QosServerTest, ShardPerWorkerExposesDepthGauges) {
   QosServerConfig cfg;
   cfg.worker_threads = 2;

@@ -53,6 +53,7 @@
 //   10.0.0.7  = 5 20 12.5
 //
 // A SIGINT/SIGTERM stops the node cleanly.
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -221,21 +222,29 @@ Status load_rules(db::RuleStore& store, const std::string& path) {
       return Error("rules line " + std::to_string(lineno) +
                    ": expected 'key = rate capacity [credit]'");
     }
-    std::string key(trim(text.substr(0, eq)));
-    std::vector<std::string_view> fields;
-    for (auto f : split(trim(text.substr(eq + 1)), ' ')) {
-      if (!f.empty()) fields.push_back(f);
+    const std::string_view key = trim(text.substr(0, eq));
+    // Up to three space-separated numbers; a fourth field is a format error.
+    std::string_view fields[4];
+    std::size_t nfields = 0;
+    std::string_view rest = trim(text.substr(eq + 1));
+    while (nfields < 4) {
+      const std::size_t start = rest.find_first_not_of(' ');
+      if (start == std::string_view::npos) break;
+      rest.remove_prefix(start);
+      const std::size_t end = std::min(rest.find(' '), rest.size());
+      fields[nfields++] = rest.substr(0, end);
+      rest.remove_prefix(end);
     }
-    if (key.empty() || fields.size() < 2 || fields.size() > 3) {
+    if (key.empty() || nfields < 2 || nfields > 3) {
       return Error("rules line " + std::to_string(lineno) + ": bad format");
     }
     auto rate = parse_double(fields[0]);
     auto capacity = parse_double(fields[1]);
-    auto credit = fields.size() == 3 ? parse_double(fields[2]) : capacity;
+    auto credit = nfields == 3 ? parse_double(fields[2]) : capacity;
     if (!rate || !capacity || !credit) {
       return Error("rules line " + std::to_string(lineno) + ": bad number");
     }
-    if (auto s = store.put({.key = key, .refill_per_sec = *rate,
+    if (auto s = store.put({.key = std::string(key), .refill_per_sec = *rate,
                             .capacity = *capacity, .credit = *credit});
         !s.ok()) {
       return Error("rules line " + std::to_string(lineno) + ": " +

@@ -5,7 +5,7 @@
 # Usage:
 #   tools/run_sanitizers.sh                  # address, thread, undefined
 #   tools/run_sanitizers.sh thread           # one preset only
-#   tools/run_sanitizers.sh --fast           # ASan, chaos+fuzz subset (CTest)
+#   tools/run_sanitizers.sh --fast           # ASan, chaos+fuzz+db-model subset (CTest)
 #
 # Each preset gets its own build tree (build-san-<preset>/) configured with
 # -DJANUS_SANITIZER_CTEST=OFF so the nested build can never recurse into this
@@ -91,9 +91,13 @@ run_suites() {
   fast=$2
   "$bindir/tests/janus_test_chaos" --gtest_brief=1
   "$bindir/tests/janus_test_wire" --gtest_brief=1 --gtest_filter='CodecFuzzTest.*'
+  # The rules table hand-manages its string blocks and index slots: its
+  # seeded model and footprint tests run in every mode, next to the WAL
+  # fault suite.
+  "$bindir/tests/janus_test_db" --gtest_brief=1 \
+    --gtest_filter='TableModelTest.*:TableFootprintTest.*:WalFaultTest.*'
   if [ "$fast" = fast ]; then return 0; fi
   "$bindir/tests/janus_test_common" --gtest_brief=1 --gtest_filter='FaultInjectorTest.*'
-  "$bindir/tests/janus_test_db" --gtest_brief=1 --gtest_filter='WalFaultTest.*'
   "$bindir/tests/janus_test_router" --gtest_brief=1 --gtest_filter='UdpClientFaultTest.*'
   # Cluster control plane + process-level chaos rounds, via the dedicated
   # runner (per-process logs + orphaned-janusd detection). Only under ASan:
@@ -119,7 +123,7 @@ for preset in $presets; do
     -DJANUS_SANITIZER_CTEST=OFF >/dev/null
   if [ "$mode" = fast ]; then
     cmake --build "$build_dir" -j "$jobs" \
-      --target janus_test_chaos janus_test_wire >/dev/null
+      --target janus_test_chaos janus_test_wire janus_test_db >/dev/null
   else
     cmake --build "$build_dir" -j "$jobs" \
       --target janus_test_chaos janus_test_wire janus_test_common \
