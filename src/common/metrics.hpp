@@ -21,8 +21,9 @@ namespace janus {
 
 class Counter {
  public:
-  void inc(std::int64_t delta = 1) {
-    value_.fetch_add(delta, std::memory_order_relaxed);
+  /// Returns the value before the increment.
+  std::int64_t inc(std::int64_t delta = 1) {
+    return value_.fetch_add(delta, std::memory_order_relaxed);
   }
   std::int64_t value() const { return value_.load(std::memory_order_relaxed); }
   void reset() { value_.store(0, std::memory_order_relaxed); }

@@ -131,9 +131,8 @@ class BlockingQueue {
 
   /// Bulk push under one lock: moves items from `items` until the queue is
   /// full or all are taken. Returns the number accepted (0 if shut down);
-  /// callers count the remainder as dropped. The listener thread pairs this
-  /// with UdpSocket::recv_many so a drained batch costs one lock
-  /// acquisition instead of one per datagram.
+  /// callers count the remainder as dropped. Paired with a bulk receive, a
+  /// drained batch costs one lock acquisition instead of one per item.
   std::size_t try_push_many(std::vector<T>& items) {
     std::size_t accepted = 0;
     {
@@ -141,8 +140,6 @@ class BlockingQueue {
       if (shutdown_) return 0;
       for (auto& item : items) {
         if (capacity_ != 0 && items_.size() >= capacity_) break;
-        // purity-ok: bounded deque node churn — the documented shared-queue
-        // purity-ok: cost; sharded mode bypasses this queue entirely (§9)
         items_.push_back(std::move(item));
         ++accepted;
       }
@@ -157,14 +154,12 @@ class BlockingQueue {
 
   /// Bulk pop: blocks until the queue is non-empty or shut down, then moves
   /// up to `max` items into `out` (appended). Returns the number popped; 0
-  /// only after shutdown once the queue has drained. Workers pair this with
-  /// UdpSocket::send_many to batch their replies.
+  /// only after shutdown once the queue has drained.
   std::size_t pop_many(std::vector<T>& out, std::size_t max) {
     MutexLock lock(mu_);
     while (items_.empty() && !shutdown_) cv_.wait(mu_);
     std::size_t popped = 0;
     while (!items_.empty() && popped < max) {
-      // purity-ok: amortized growth into the worker's reserved batch vector
       out.push_back(std::move(items_.front()));
       items_.pop_front();
       ++popped;

@@ -1,5 +1,10 @@
 #include "db/rule_store.hpp"
 
+#include <algorithm>
+#include <fstream>
+
+#include "common/string_util.hpp"
+
 namespace janus::db {
 
 namespace {
@@ -79,5 +84,58 @@ void RuleStore::scan(const std::function<void(const RuleRow&)>& fn) const {
 std::size_t RuleStore::size() const { return table_.size(); }
 
 std::size_t RuleStore::memory_bytes() const { return table_.memory_bytes(); }
+
+Status load_rules_file(RuleStore& store, const std::string& path) {
+  std::ifstream in(path);
+  if (!in) return Error("cannot open rules file: " + path);
+  const bool recovered = store.size() > 0;
+  std::string line;
+  int lineno = 0;
+  while (std::getline(in, line)) {
+    ++lineno;
+    std::string_view text = trim(line);
+    if (text.empty() || text[0] == '#') continue;
+    std::size_t eq = text.find('=');
+    if (eq == std::string_view::npos) {
+      return Error("rules line " + std::to_string(lineno) +
+                   ": expected 'key = rate capacity [credit]'");
+    }
+    const std::string_view key = trim(text.substr(0, eq));
+    // Up to three space-separated numbers; a fourth field is a format error.
+    std::string_view fields[4];
+    std::size_t nfields = 0;
+    std::string_view rest = trim(text.substr(eq + 1));
+    while (nfields < 4) {
+      const std::size_t start = rest.find_first_not_of(' ');
+      if (start == std::string_view::npos) break;
+      rest.remove_prefix(start);
+      const std::size_t end = std::min(rest.find(' '), rest.size());
+      fields[nfields++] = rest.substr(0, end);
+      rest.remove_prefix(end);
+    }
+    if (key.empty() || nfields < 2 || nfields > 3) {
+      return Error("rules line " + std::to_string(lineno) + ": bad format");
+    }
+    auto rate = parse_double(fields[0]);
+    auto capacity = parse_double(fields[1]);
+    auto credit = nfields == 3 ? parse_double(fields[2]) : capacity;
+    if (!rate || !capacity || !credit) {
+      return Error("rules line " + std::to_string(lineno) + ": bad number");
+    }
+    if (recovered) {
+      const auto row = store.get(key);
+      if (row && row->refill_per_sec == *rate && row->capacity == *capacity) {
+        continue;  // unchanged rule: keep the check-pointed credit
+      }
+    }
+    if (auto s = store.put({.key = std::string(key), .refill_per_sec = *rate,
+                            .capacity = *capacity, .credit = *credit});
+        !s.ok()) {
+      return Error("rules line " + std::to_string(lineno) + ": " +
+                   s.error().message);
+    }
+  }
+  return Status::success();
+}
 
 }  // namespace janus::db

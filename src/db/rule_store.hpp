@@ -69,4 +69,16 @@ class RuleStore {
   const Table& table_;
 };
 
+/// Provision `store` from a rules file: one `key = rate capacity [credit]`
+/// rule per line (credit defaults to capacity), `#` comments and blank
+/// lines skipped. Errors name the offending line.
+///
+/// A restarted server starts from the last check-pointed credit (§II-D,
+/// DbRuleSource), so when the store already holds rows — WAL recovery ran
+/// first — a line whose rate and capacity match the stored row keeps that
+/// row, credit and all, and is not logged again. Any other line is upserted
+/// with the file's credit. An empty store (no WAL, or a fresh one) skips
+/// the lookup entirely.
+Status load_rules_file(RuleStore& store, const std::string& path);
+
 }  // namespace janus::db

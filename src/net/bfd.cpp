@@ -1,5 +1,7 @@
 #include "net/bfd.hpp"
 
+#include <algorithm>
+
 #include "common/flight_recorder.hpp"
 #include "common/logging.hpp"
 #include "testing/fault_injector.hpp"
@@ -117,6 +119,11 @@ BfdState BfdStateMachine::on_tick(TimePoint now) {
     state_ = BfdState::kDown;
   }
   return state_;
+}
+
+std::optional<TimePoint> BfdStateMachine::next_deadline() const {
+  if (state_ == BfdState::kDown) return std::nullopt;
+  return last_rx_ + detection_time() + Duration(1);
 }
 
 Result<std::unique_ptr<BfdSession>> BfdSession::start(Options options,
@@ -243,6 +250,7 @@ BfdResponder::~BfdResponder() { stop(); }
 void BfdResponder::stop() {
   bool expected = false;
   if (!stopping_.compare_exchange_strong(expected, true)) return;
+  socket_.shutdown_read();  // wakes the loop out of its receive wait
   if (thread_.joinable()) thread_.join();
 }
 
@@ -252,7 +260,17 @@ void BfdResponder::loop() {
           options_.timers.tx_interval)
           .count());
   while (!stopping_.load(std::memory_order_relaxed)) {
-    auto dg = socket_.recv(Duration(std::chrono::milliseconds(10)));
+    // Sleep until a probe arrives or the session's detection deadline
+    // passes — whichever is first. Down has no deadline: block until a
+    // probe (or stop()) arrives.
+    Duration wait{-1};
+    {
+      MutexLock lock(mu_);
+      if (const auto deadline = machine_.next_deadline()) {
+        wait = std::max(Duration{0}, *deadline - clock_.now());
+      }
+    }
+    auto dg = socket_.recv(wait);
     BfdState published;
     {
       MutexLock lock(mu_);

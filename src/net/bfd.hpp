@@ -97,6 +97,11 @@ class BfdStateMachine {
   /// no packet has arrived within detection_time().
   BfdState on_tick(TimePoint now);
 
+  /// The first instant at which on_tick would change the state: just past
+  /// last packet + detection_time(). nullopt in Down, which only a packet
+  /// can leave.
+  std::optional<TimePoint> next_deadline() const;
+
  private:
   BfdTimers timers_;
   BfdState state_ = BfdState::kDown;

@@ -181,6 +181,7 @@ HttpServer::~HttpServer() { stop(); }
 void HttpServer::stop() {
   bool expected = false;
   if (!stopping_.compare_exchange_strong(expected, true)) return;
+  listener_.shutdown();  // fails the accept thread's blocked accept()
   pending_.shutdown();
   if (accept_thread_.joinable()) accept_thread_.join();
   for (auto& w : workers_) {
@@ -189,13 +190,13 @@ void HttpServer::stop() {
 }
 
 void HttpServer::accept_loop() {
-  while (!stopping_.load(std::memory_order_relaxed)) {
-    auto stream = listener_.accept(millis(50));
+  while (true) {
+    auto stream = listener_.accept(Duration{-1});
+    if (stopping_.load(std::memory_order_relaxed)) return;
     if (!stream.ok()) {
       JLOG_WARN("http accept failed: %s", stream.error().message.c_str());
       continue;
     }
-    if (!stream.value()) continue;  // timeout: re-check stopping_
     pending_.try_push(Connection{std::move(*stream.value())});
   }
 }

@@ -82,7 +82,8 @@ std::string serialize(const HttpResponse& resp);
 /// Blocking HTTP/1.1 server: accept thread + handler pool, keep-alive.
 /// Concurrency (DESIGN.md §8): accepted connections flow to workers through
 /// a BlockingQueue (`common.queue` rank); the handler runs unlocked, so it
-/// may take any application lock. Shutdown is an atomic flag + queue close.
+/// may take any application lock. The accept thread blocks in accept();
+/// shutdown is an atomic flag + listener shutdown + queue close.
 class HttpServer {
  public:
   using Handler = std::function<HttpResponse(const HttpRequest&)>;

@@ -4,8 +4,12 @@
 #include <fcntl.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <unistd.h>
+#if defined(__linux__)
+#include <linux/sock_diag.h>  // SK_MEMINFO_DROPS
+#endif
 
 #include <algorithm>
 #include <cassert>
@@ -223,26 +227,63 @@ Result<std::optional<UdpSocket::Datagram>> UdpSocket::recv(Duration timeout) {
     return std::optional<Datagram>{std::move(dg)};
   }
 #endif
-  int ready = wait_readable(fd_.get(), timeout);
-  if (ready < 0) return Error(errno_msg("udp poll"));
-  if (ready == 0) return std::optional<Datagram>{};
+  if (timeout.count() >= 0) {
+    int ready = wait_readable(fd_.get(), timeout);
+    if (ready < 0) return Error(errno_msg("udp poll"));
+    if (ready == 0) return std::optional<Datagram>{};
+  }
 
-  Datagram dg;
-  dg.data.resize(64 * 1024);
+  // One scratch buffer per thread, never zeroed: 64 KiB holds the largest
+  // IPv4 UDP payload (65,507 bytes), and only the datagram is copied out.
+  constexpr std::size_t kScratchBytes = 64 * 1024;
+  thread_local std::unique_ptr<std::uint8_t[]> scratch;
+  if (!scratch) {
+    scratch = std::make_unique_for_overwrite<std::uint8_t[]>(kScratchBytes);
+  }
   sockaddr_in sa{};
   socklen_t salen = sizeof(sa);
-  ssize_t n = ::recvfrom(fd_.get(), dg.data.data(), dg.data.size(), 0,
-                         reinterpret_cast<sockaddr*>(&sa), &salen);
+  ssize_t n;
+  do {
+    n = ::recvfrom(fd_.get(), scratch.get(), kScratchBytes, 0,
+                   reinterpret_cast<sockaddr*>(&sa), &salen);
+  } while (n < 0 && errno == EINTR);
   if (n < 0) return Error(errno_msg("udp recvfrom"));
+  // No source address: the read side was shut down, not a datagram.
+  if (salen == 0) return std::optional<Datagram>{};
   if (testing::FaultInjector::instance().should_fire(
           testing::FaultPoint::kNetUdpDropRx)) {
     // Drop after the kernel handed it over, as if it never arrived; the
     // caller observes an ordinary timeout.
     return std::optional<Datagram>{};
   }
-  dg.data.resize(static_cast<std::size_t>(n));
+  Datagram dg;
+  dg.data.assign(scratch.get(), scratch.get() + n);
   dg.from = SockAddr::from_native(sa);
   return std::optional<Datagram>{std::move(dg)};
+}
+
+void UdpSocket::shutdown_read() {
+  // An unbound-peer UDP socket reports ENOTCONN, yet the kernel still marks
+  // the read side shut and wakes every waiter — which is all this is for.
+  (void)::shutdown(fd_.get(), SHUT_RD);
+}
+
+std::uint64_t UdpSocket::rx_dropped() const {
+#if defined(__linux__) && defined(SO_MEMINFO)
+  std::uint32_t meminfo[SK_MEMINFO_VARS] = {};
+  socklen_t len = sizeof(meminfo);
+  if (::getsockopt(fd_.get(), SOL_SOCKET, SO_MEMINFO, meminfo, &len) == 0 &&
+      len > SK_MEMINFO_DROPS * sizeof(std::uint32_t)) {
+    return meminfo[SK_MEMINFO_DROPS];
+  }
+#endif
+  return 0;
+}
+
+std::size_t UdpSocket::rx_next_bytes() const {
+  int bytes = 0;
+  if (::ioctl(fd_.get(), FIONREAD, &bytes) != 0 || bytes < 0) return 0;
+  return static_cast<std::size_t>(bytes);
 }
 
 std::atomic<bool> UdpSocket::batch_syscalls_enabled_{true};
@@ -360,7 +401,8 @@ UdpSocket::UringStats UdpSocket::uring_stats() const {
 UdpSocket::RecvBatch::RecvBatch(std::size_t capacity, std::size_t slot_bytes)
     : capacity_(std::min(std::max<std::size_t>(1, capacity), kMaxBatch)),
       slot_bytes_(slot_bytes) {
-  arena_.resize(capacity_ * slot_bytes_);
+  arena_ =
+      std::make_unique_for_overwrite<std::uint8_t[]>(capacity_ * slot_bytes_);
   addrs_.resize(capacity_);
   lens_.resize(capacity_);
   ptrs_.resize(capacity_);
@@ -379,7 +421,8 @@ void UdpSocket::RecvBatch::ensure_slot_bytes(std::size_t min_slot_bytes) {
   count_ = 0;
   slot_bytes_ = min_slot_bytes;
   // purity-ok: one-time geometry revalidation; steady state never re-grows
-  arena_.assign(capacity_ * slot_bytes_, 0);
+  arena_ =
+      std::make_unique_for_overwrite<std::uint8_t[]>(capacity_ * slot_bytes_);
 }
 
 Result<std::size_t> UdpSocket::recv_many(RecvBatch& batch, Duration timeout) {
@@ -391,16 +434,23 @@ Result<std::size_t> UdpSocket::recv_many(RecvBatch& batch, Duration timeout) {
 #endif
   const bool use_mmsg = resolved_data_path() == DataPath::kMmsg;
   (void)use_mmsg;
-  int ready = wait_readable(fd_.get(), timeout);
-  if (ready < 0) return Error(errno_msg("udp poll"));  // purity-ok: error path
-  if (ready == 0) return std::size_t{0};
+  // Blocking callers wait inside the receive syscall (an exclusive wait);
+  // everyone else polls first and then drains without waiting.
+  const bool block = timeout.count() < 0;
+  if (!block) {
+    int ready = wait_readable(fd_.get(), timeout);
+    if (ready < 0) return Error(errno_msg("udp poll"));  // purity-ok: error path
+    if (ready == 0) return std::size_t{0};
+  }
 
-  // Raw receive into the arena slots: one recvmmsg, or a non-blocking
-  // recvfrom loop on the fallback path. `raw` counts kernel-delivered
-  // datagrams before fault filtering.
+  // Raw receive into the arena slots: one recvmmsg, or a recvfrom loop on
+  // the fallback path. `raw` counts kernel-delivered results before fault
+  // filtering; `lost` marks results to skip: truncated datagrams, and the
+  // empty, address-less result a blocking receive returns after
+  // shutdown_read().
   std::size_t raw = 0;
   std::size_t raw_lens[kMaxBatch];
-  bool truncated[kMaxBatch];
+  bool lost[kMaxBatch];
 
 #if JANUS_HAVE_MMSG
   if (use_mmsg) {
@@ -408,7 +458,7 @@ Result<std::size_t> UdpSocket::recv_many(RecvBatch& batch, Duration timeout) {
     ::iovec iovs[kMaxBatch];
     std::memset(hdrs, 0, sizeof(::mmsghdr) * batch.capacity_);
     for (std::size_t i = 0; i < batch.capacity_; ++i) {
-      iovs[i] = {batch.arena_.data() + i * batch.slot_bytes_,
+      iovs[i] = {batch.arena_.get() + i * batch.slot_bytes_,
                  batch.slot_bytes_};
       hdrs[i].msg_hdr.msg_iov = &iovs[i];
       hdrs[i].msg_hdr.msg_iovlen = 1;
@@ -429,7 +479,7 @@ Result<std::size_t> UdpSocket::recv_many(RecvBatch& batch, Duration timeout) {
       } else {
         n = ::recvmmsg(fd_.get(), hdrs,
                        static_cast<unsigned int>(batch.capacity_),
-                       MSG_DONTWAIT, nullptr);
+                       block ? MSG_WAITFORONE : MSG_DONTWAIT, nullptr);
       }
       if (n >= 0) break;
       if (errno == EINTR) continue;
@@ -439,16 +489,19 @@ Result<std::size_t> UdpSocket::recv_many(RecvBatch& batch, Duration timeout) {
     raw = static_cast<std::size_t>(n);
     for (std::size_t i = 0; i < raw; ++i) {
       raw_lens[i] = hdrs[i].msg_len;
-      truncated[i] = (hdrs[i].msg_hdr.msg_flags & MSG_TRUNC) != 0;
+      lost[i] = (hdrs[i].msg_hdr.msg_flags & MSG_TRUNC) != 0 ||
+                hdrs[i].msg_hdr.msg_namelen == 0;
     }
   } else
 #endif
   {
     // Fallback: identical semantics, one syscall per datagram. The first
-    // datagram is guaranteed present (poll said readable); the rest drain
-    // non-blocking until EAGAIN or the batch is full. EINTR mid-drain keeps
-    // the datagrams already received and retries the interrupted syscall.
+    // datagram is guaranteed present (poll said readable) or waited for
+    // (blocking callers); the rest drain non-blocking until EAGAIN or the
+    // batch is full. EINTR mid-drain keeps the datagrams already received
+    // and retries the interrupted syscall.
     while (raw < batch.capacity_) {
+      const int wait_flag = block && raw == 0 ? 0 : MSG_DONTWAIT;
       sockaddr_in& sa = batch.addrs_[raw];
       socklen_t salen = sizeof(sa);
       ssize_t n;
@@ -458,8 +511,8 @@ Result<std::size_t> UdpSocket::recv_many(RecvBatch& batch, Duration timeout) {
         errno = EINTR;
       } else {
         n = ::recvfrom(fd_.get(),
-                       batch.arena_.data() + raw * batch.slot_bytes_,
-                       batch.slot_bytes_, MSG_DONTWAIT | MSG_TRUNC,
+                       batch.arena_.get() + raw * batch.slot_bytes_,
+                       batch.slot_bytes_, wait_flag | MSG_TRUNC,
                        reinterpret_cast<sockaddr*>(&sa), &salen);
       }
       if (n < 0) {
@@ -467,8 +520,9 @@ Result<std::size_t> UdpSocket::recv_many(RecvBatch& batch, Duration timeout) {
         if (errno == EINTR) continue;
         return Error(errno_msg("udp recvfrom"));  // purity-ok: error path
       }
+      if (salen == 0) break;  // read side shut down: nothing more to read
       raw_lens[raw] = static_cast<std::size_t>(n);
-      truncated[raw] = static_cast<std::size_t>(n) > batch.slot_bytes_;
+      lost[raw] = static_cast<std::size_t>(n) > batch.slot_bytes_;
       ++raw;
     }
   }
@@ -478,10 +532,10 @@ Result<std::size_t> UdpSocket::recv_many(RecvBatch& batch, Duration timeout) {
   // see the same per-datagram decision stream as the single recv() path.
   auto& faults = testing::FaultInjector::instance();
   for (std::size_t i = 0; i < raw; ++i) {
-    if (truncated[i]) continue;  // longer than a slot: drop, as if lost
+    if (lost[i]) continue;  // truncated: drop, as if lost
     if (faults.should_fire(testing::FaultPoint::kNetUdpDropRx)) continue;
     const std::size_t out = batch.count_++;
-    batch.ptrs_[out] = batch.arena_.data() + i * batch.slot_bytes_;
+    batch.ptrs_[out] = batch.arena_.get() + i * batch.slot_bytes_;
     batch.lens_[out] = static_cast<std::uint32_t>(raw_lens[i]);
     batch.froms_[out] = SockAddr::from_native(batch.addrs_[i]);
   }
@@ -888,14 +942,25 @@ Result<TcpListener> TcpListener::listen(const SockAddr& addr) {
 }
 
 Result<std::optional<TcpStream>> TcpListener::accept(Duration timeout) {
-  int ready = wait_readable(fd_.get(), timeout);
-  if (ready < 0) return Error(errno_msg("accept poll"));
-  if (ready == 0) return std::optional<TcpStream>{};
-  int cfd = ::accept(fd_.get(), nullptr, nullptr);
+  if (timeout.count() >= 0) {
+    int ready = wait_readable(fd_.get(), timeout);
+    if (ready < 0) return Error(errno_msg("accept poll"));
+    if (ready == 0) return std::optional<TcpStream>{};
+  }
+  int cfd;
+  do {
+    cfd = ::accept(fd_.get(), nullptr, nullptr);
+  } while (cfd < 0 && errno == EINTR);
   if (cfd < 0) return Error(errno_msg("accept"));
   int one = 1;
   ::setsockopt(cfd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   return std::optional<TcpStream>{TcpStream(Fd(cfd))};
+}
+
+void TcpListener::shutdown() {
+  // On Linux this closes the listen queue and fails every blocked accept()
+  // with EINVAL.
+  (void)::shutdown(fd_.get(), SHUT_RDWR);
 }
 
 Result<SockAddr> TcpListener::local_addr() const {

@@ -1,6 +1,9 @@
 // RAII socket primitives for the real-transport driver: UDP endpoints with
 // poll-based receive timeouts (the router's 100 µs retry timer needs
 // sub-millisecond waits) and blocking TCP streams for the HTTP front end.
+// A negative timeout blocks in the receive/accept syscall itself, with no
+// poll() in front: a thread parked there wakes only for work, and the
+// shutdown_* calls below wake it for stop().
 // IPv4 only — Janus nodes address each other by resolved A records.
 #pragma once
 
@@ -86,9 +89,23 @@ class UdpSocket {
     SockAddr from;
   };
 
-  /// Wait up to `timeout` for one datagram; nullopt on timeout.
-  /// timeout < 0 blocks indefinitely.
+  /// Wait up to `timeout` for one datagram; nullopt on timeout or once
+  /// shutdown_read() has been called. timeout < 0 blocks indefinitely.
+  /// Receives into a reusable uninitialised buffer and copies out only the
+  /// datagram's bytes.
   Result<std::optional<Datagram>> recv(Duration timeout);
+
+  /// Wake every thread blocked receiving on this socket and make later
+  /// receives return at once when nothing is queued (shutdown(SHUT_RD)).
+  /// Datagrams already queued can still be read. The stop signal for
+  /// threads that block in recv/recv_many with a negative timeout.
+  void shutdown_read();
+
+  /// Datagrams the kernel dropped because this socket's receive queue was
+  /// full (SO_MEMINFO drops; 0 where unsupported). Monotonic.
+  std::uint64_t rx_dropped() const;
+  /// Payload bytes of the next queued datagram (FIONREAD); 0 = queue empty.
+  std::size_t rx_next_bytes() const;
 
   /// Hard cap on datagrams per batched syscall (mmsghdr arrays live on the
   /// stack in socket.cpp); RecvBatch capacities clamp to it.
@@ -130,7 +147,9 @@ class UdpSocket {
     std::size_t capacity_;
     std::size_t slot_bytes_;
     std::size_t count_ = 0;
-    std::vector<std::uint8_t> arena_;    // capacity_ * slot_bytes_
+    // capacity_ * slot_bytes_, left uninitialised: only the slots the
+    // kernel writes ever become resident.
+    std::unique_ptr<std::uint8_t[]> arena_;
     std::vector<sockaddr_in> addrs_;     // kernel-filled source addresses
     std::vector<std::uint32_t> lens_;    // per-result datagram length
     std::vector<const std::uint8_t*> ptrs_;  // result index -> payload start
@@ -190,9 +209,13 @@ class UdpSocket {
   /// Wait up to `timeout` for readability, then drain up to
   /// batch.capacity() datagrams in one recvmmsg (or a non-blocking recvfrom
   /// loop where unavailable/disabled). Returns the number received into
-  /// `batch`; 0 = timeout. Fault semantics are per-datagram: each received
-  /// datagram consults net.udp.drop_rx independently, exactly as the
-  /// single-datagram recv() does.
+  /// `batch`; 0 = timeout. timeout < 0 blocks in recvmmsg(MSG_WAITFORONE)
+  /// itself, never in poll(): the kernel's receive wait is exclusive, so N
+  /// threads blocked on one socket are woken one per datagram, where poll()
+  /// would wake them all. Such a call returns 0 once shutdown_read() has
+  /// been called and the queue is empty. Fault semantics are per-datagram:
+  /// each received datagram consults net.udp.drop_rx independently, exactly
+  /// as the single-datagram recv() does.
   Result<std::size_t> recv_many(RecvBatch& batch, Duration timeout);
 
   /// Send a batch of datagrams with one sendmmsg (or a sendto loop).
@@ -258,8 +281,12 @@ class TcpListener {
   static Result<TcpListener> listen(const SockAddr& addr);
 
   /// Wait up to `timeout` for a connection; nullopt on timeout.
-  /// timeout < 0 blocks indefinitely.
+  /// timeout < 0 blocks in accept() itself until a connection arrives or
+  /// shutdown() is called (then it returns an error).
   Result<std::optional<TcpStream>> accept(Duration timeout);
+
+  /// Stop listening and wake every thread blocked in accept().
+  void shutdown();
 
   Result<SockAddr> local_addr() const;
   int fd() const { return fd_.get(); }

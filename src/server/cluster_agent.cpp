@@ -33,19 +33,20 @@ ClusterAgent::~ClusterAgent() { stop(); }
 void ClusterAgent::stop() {
   bool expected = false;
   if (!stopping_.compare_exchange_strong(expected, true)) return;
+  listener_.shutdown();  // fails the loop's blocked accept()
   if (thread_.joinable()) thread_.join();
 }
 
 void ClusterAgent::loop() {
   FlightRecorder::label_current_thread("server.cluster_agent");
-  while (!stopping_.load(std::memory_order_relaxed)) {
-    auto conn = listener_.accept(millis(50));
+  while (true) {
+    auto conn = listener_.accept(Duration{-1});
+    if (stopping_.load(std::memory_order_relaxed)) return;
     if (!conn.ok()) {
       JLOG_WARN("cluster: agent accept failed: %s",
                 conn.error().message.c_str());
       continue;
     }
-    if (!conn.value()) continue;  // timeout: re-check stopping_
     handle(std::move(*conn.value()));
   }
 }
@@ -115,12 +116,14 @@ wire::ClusterAckStatus ClusterAgent::apply_epoch_update(
     outgoing = node_.extract_disowned(
         map.value(), leaving ? wire::kNotAMember : update.self_index);
   }
-  // Ack before streaming: the coordinator's publish round-trip stays fast
-  // even when a big table migrates, and batch delivery is independently
-  // acked per peer below.
-  send_ack(stream, wire::ClusterAckStatus::kOk);
-  stream.shutdown_write();
-
+  // Stream, then ack. Each batch is acked by its receiver once installed,
+  // and the coordinator publishes to one member at a time, so when this ack
+  // lands every bucket this member owed has arrived, and no two members
+  // ever stream to each other at once. (Acking first let the coordinator
+  // publish to the next member while this one streamed: two members in
+  // each other's migration set then each waited, accept loop busy, for the
+  // other's ack until io_timeout, and the receivers' deferral windows
+  // closed first.)
   for (std::size_t owner = 0; owner < outgoing.size(); ++owner) {
     if (outgoing[owner].empty()) continue;
     const cluster::Member& target = map.value().members[owner];
@@ -138,6 +141,8 @@ wire::ClusterAckStatus ClusterAgent::apply_epoch_update(
     batch.entries = std::move(outgoing[owner]);
     send_batch(target.cluster_addr, std::move(batch));
   }
+  send_ack(stream, wire::ClusterAckStatus::kOk);
+  stream.shutdown_write();
   JLOG_INFO("cluster: agent applied epoch %llu (self=%u%s)",
             static_cast<unsigned long long>(map.value().epoch),
             static_cast<unsigned>(update.self_index),

@@ -7,9 +7,9 @@
 //   2. extract every entry this node no longer owns under the new map
 //      (grouped by new owner, honoring the threading mode's ownership
 //      discipline);
-//   3. ack the coordinator (publishes stay fast even for big tables);
-//   4. stream the extracted entries to their new owners as MigrationBatch
-//      frames over the same control port.
+//   3. stream the extracted entries to their new owners as MigrationBatch
+//      frames over the same control port, each acked by its receiver;
+//   4. ack the coordinator — the hand-off is done when the ack lands.
 //
 // Inbound, a MigrationBatch at the current (or a newer — publishes race
 // batches between peers) epoch installs its entries; while the node's
@@ -19,6 +19,9 @@
 //
 // Single-threaded by construction: one accept loop handles connections
 // serially, so epoch handling needs no locking beyond the ShardMapHolder.
+// It blocks in accept() and stop() shuts the listening socket down. The
+// coordinator publishes to one member at a time, so while this member
+// streams, every peer's accept loop is free to take its batch.
 #pragma once
 
 #include <atomic>

@@ -85,17 +85,18 @@ HaSnapshotServer::~HaSnapshotServer() { stop(); }
 void HaSnapshotServer::stop() {
   bool expected = false;
   if (!stopping_.compare_exchange_strong(expected, true)) return;
+  listener_.shutdown();  // fails the loop's blocked accept()
   if (thread_.joinable()) thread_.join();
 }
 
 void HaSnapshotServer::loop() {
-  while (!stopping_.load(std::memory_order_relaxed)) {
-    auto conn = listener_.accept(millis(50));
+  while (true) {
+    auto conn = listener_.accept(Duration{-1});
+    if (stopping_.load(std::memory_order_relaxed)) return;
     if (!conn.ok()) {
       JLOG_WARN("ha: accept failed: %s", conn.error().message.c_str());
       continue;
     }
-    if (!conn.value()) continue;
     net::TcpStream stream = std::move(*conn.value());
     auto payload = serialize_table(admission_.table());
     // Length-prefix so the slave knows when the snapshot is complete.

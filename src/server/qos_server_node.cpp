@@ -68,11 +68,11 @@ QosServerNode::QosServerNode(net::UdpSocket socket, net::SockAddr addr,
       sink_(store),
       admission_(std::make_unique<core::AdmissionController>(
           SteadyClock::instance(), source_, config_.admission)),
-      fifo_(config_.fifo_capacity),
       received_(metrics_.counter("server.received")),
       answered_(metrics_.counter("server.answered")),
       malformed_(metrics_.counter("server.malformed")),
       dropped_(metrics_.counter("server.fifo_dropped")),
+      rx_dropped_(metrics_.counter("server.rx_dropped")),
       maint_rejected_(metrics_.counter("server.maint_queue_reject")),
       watchdog_stalls_(metrics_.counter("server.watchdog_stalls")),
       queue_wait_us_(metrics_.histogram("server.queue_wait_us")),
@@ -106,12 +106,17 @@ QosServerNode::QosServerNode(net::UdpSocket socket, net::SockAddr addr,
   service_exemplar_.set_threshold(config_.slow_exemplar_us);
 
   // Provider selection happens before any I/O thread exists (the uring
-  // switch is not safe under concurrent recv/send). A refused kUring means
-  // the kernel failed the end-to-end capability probe: degrade to the kAuto
-  // rules and say so once — server.data_path carries the outcome forever.
-  if (!socket_.set_data_path(config_.data_path)) {
-    JLOG_WARN("server: data-path '%s' unavailable on this kernel; using '%s'",
+  // switch is not safe under concurrent recv/send). kUring degrades to the
+  // kAuto rules when the kernel failed the capability probe, or under
+  // shared-queue workers (the multishot ring has a single consumer). Say so
+  // once — server.data_path carries the outcome forever.
+  const bool uring_unusable =
+      config_.data_path == net::UdpSocket::DataPath::kUring && !sharded;
+  if (uring_unusable || !socket_.set_data_path(config_.data_path)) {
+    JLOG_WARN("server: data-path '%s' unavailable (%s); using '%s'",
               net::UdpSocket::data_path_name(config_.data_path),
+              uring_unusable ? "shared-queue workers share the socket"
+                             : "kernel probe failed",
               net::UdpSocket::data_path_name(socket_.resolved_data_path()));
   }
   data_path_gauge_.set(
@@ -140,11 +145,11 @@ QosServerNode::QosServerNode(net::UdpSocket socket, net::SockAddr addr,
     }
   }
 
-  // Fused mode folds worker 0 into the listener thread: spawn the fused
-  // loop in its place and only workers 1..N-1 as standalone threads.
+  // Shared-queue workers read the socket themselves. Fused mode folds
+  // worker 0 into the listener: only workers 1..N-1 get their own threads.
   if (fused_) {
     listener_ = std::thread([this] { listener_loop_fused(); });
-  } else {
+  } else if (sharded) {
     listener_ = std::thread([this] { listener_loop(); });
   }
   for (std::size_t i = fused_ ? 1 : 0; i < n; ++i) {
@@ -203,12 +208,11 @@ Result<net::SockAddr> QosServerNode::start_admin(const net::SockAddr& addr,
 }
 
 std::int64_t QosServerNode::requests_in_flight() const {
-  // Accepted minus retired (answered, malformed replies are counted
-  // separately, fifo drops never reach a worker). Counters are sampled
-  // independently so a burst can transiently skew the difference — clamp
-  // instead of asserting.
-  const std::int64_t retired =
-      answered_.value() + malformed_.value() + dropped_.value();
+  // Received minus retired (answered, malformed, ring drops, deferred).
+  // Counters are sampled independently so a burst can transiently skew the
+  // difference — clamp instead of asserting.
+  const std::int64_t retired = answered_.value() + malformed_.value() +
+                               dropped_.value() + cluster_deferred_.value();
   const std::int64_t in = received_.value();
   return in > retired ? in - retired : 0;
 }
@@ -291,7 +295,7 @@ std::string QosServerNode::render_hot_key_statusz() const {
 
 void QosServerNode::watchdog_pass() {
   if (stopping_.load(std::memory_order_acquire)) return;
-  publish_uring_stats();
+  publish_socket_stats();
   publish_db_stats();
   const bool sharded =
       config_.threading == core::ThreadingMode::kShardPerWorker;
@@ -328,10 +332,11 @@ void QosServerNode::watchdog_pass() {
     return;
   }
 
+  // Shared-queue backlog lives in the kernel receive queue.
   const auto answered =
       static_cast<std::uint64_t>(answered_.value());
-  const bool backlog = fifo_.size() > 0;
-  if (backlog && answered == watchdog_last_answered_) {
+  const std::size_t next_bytes = socket_.rx_next_bytes();
+  if (next_bytes > 0 && answered == watchdog_last_answered_) {
     if (watchdog_answered_strikes_ < 2) ++watchdog_answered_strikes_;
     if (watchdog_answered_strikes_ >= 2) {
       watchdog_stalls_.inc();
@@ -339,9 +344,9 @@ void QosServerNode::watchdog_pass() {
                              TraceStage::kWatchdog, /*trace=*/0,
                              /*arg=*/0, ts);
       JLOG_WARN(
-          "server: watchdog: shared FIFO has backlog (%zu) but no request "
-          "completed for two full ticks",
-          fifo_.size());
+          "server: watchdog: receive queue has backlog (next datagram %zu "
+          "bytes) but no request completed for two full ticks",
+          next_bytes);
       FlightRecorder::instance().trigger_auto_dump("watchdog stall");
     }
   } else {
@@ -368,19 +373,19 @@ void QosServerNode::stop() {
   if (!stopping_.compare_exchange_strong(expected, true)) return;
   // Order matters twice over. Periodic dispatchers may be blocked waiting on
   // worker latches, so they are stopped while the workers still drain
-  // commands. And the listener must be joined BEFORE the workers are allowed
-  // to exit: it is the sole SPSC producer, and a worker that observed
-  // stopping_ with an empty ring could otherwise exit while the listener's
-  // final batch was still being fanned out — stranding accepted jobs that
-  // would never be answered (the shutdown-ordering regression in
-  // tests/server/test_server_shutdown.cpp). listener_done_ is the gate the
-  // sharded workers wait on; the shared FIFO gets the same guarantee from
-  // shutting it down only after the producer is gone (pop_many drains
-  // whatever was pushed before returning 0).
+  // commands. And the shard-per-worker listener must be joined BEFORE the
+  // workers are allowed to exit: it is the sole SPSC producer, and a worker
+  // that observed stopping_ with an empty ring could otherwise exit while
+  // the listener's final batch was still being fanned out — stranding
+  // accepted jobs that would never be answered (the shutdown-ordering
+  // regression in tests/server/test_server_shutdown.cpp). listener_done_ is
+  // the gate the sharded workers wait on. Shutting the read side wakes the
+  // threads blocked on the socket; a shared-queue worker finishes the batch
+  // it holds, and what is still in the kernel queue was never received.
   for (auto& task : maintenance_) task->stop();
+  if (!fused_) socket_.shutdown_read();
   if (listener_.joinable()) listener_.join();
   listener_done_.store(true, std::memory_order_release);
-  fifo_.shutdown();
   for (auto& w : worker_state_) {
     MutexLock lock(w->park_mu);
     w->park_cv.notify_one();
@@ -388,15 +393,17 @@ void QosServerNode::stop() {
   for (auto& w : workers_) {
     if (w.joinable()) w.join();
   }
-  // Final uring-counter delta: the watchdog (now joined) can no longer
+  // Final socket-counter delta: the watchdog (now joined) can no longer
   // race this, and the I/O threads are gone, so the snapshot is exact.
-  publish_uring_stats();
+  publish_socket_stats();
   if (admin_) admin_->stop();
 }
 
-bool QosServerNode::timing_sampled() {
-  thread_local std::uint64_t seq = 0;
-  return (seq++ & ((1u << kTimingSampleShift) - 1)) == 0;
+TimePoint QosServerNode::sample_clock(std::int64_t first, std::size_t i) {
+  const auto arrival = static_cast<std::uint64_t>(first) + i;
+  return (arrival & ((1u << kTimingSampleShift) - 1)) == 0
+             ? SteadyClock::instance().now()
+             : kTimeZero;
 }
 
 void QosServerNode::wake_worker(WorkerState& w) {
@@ -406,20 +413,15 @@ void QosServerNode::wake_worker(WorkerState& w) {
 }
 
 void QosServerNode::listener_loop() {
-  // One wakeup = one recvmmsg draining up to recv_batch datagrams + one
-  // bulk push: into the shared FIFO (kSharedQueue) or fanned out to the
-  // owning workers' SPSC rings (kShardPerWorker). Scratch buffers live
-  // across iterations, so a warm listener's only per-datagram allocation is
-  // each Job's owning copy of the (small) frame — the arena itself is
-  // reused.
-  const bool sharded =
-      config_.threading == core::ThreadingMode::kShardPerWorker;
+  // One wakeup = one recvmmsg draining up to recv_batch datagrams, fanned
+  // out to the owning workers' SPSC rings. Scratch buffers live across
+  // iterations, so a warm listener's only per-datagram allocation is each
+  // Job's owning copy of the (small) frame — the arena itself is reused.
   FlightRecorder::label_current_thread("server.listener");
   net::UdpSocket::RecvBatch batch(config_.recv_batch);
-  std::vector<Job> jobs;
-  // purity-ok: loop-start setup — sized once per thread, before any traffic
-  jobs.reserve(batch.capacity());
   std::vector<bool> touched(worker_state_.size(), false);
+  const core::ShardedQosTable& table = admission_->table();
+  const std::size_t workers = worker_state_.size();
 
   while (!stopping_.load(std::memory_order_relaxed)) {
     auto got = socket_.recv_many(batch, millis(50));
@@ -433,45 +435,17 @@ void QosServerNode::listener_loop() {
     // Per-datagram semantics under batching: every datagram counts in
     // server.received and takes its own turn in the 1-in-2^k timing
     // sample, exactly as when they arrived one syscall apiece.
-    received_.inc(static_cast<std::int64_t>(n));
+    const std::int64_t arrival = received_.inc(static_cast<std::int64_t>(n));
     recv_batch_size_.record(static_cast<std::int64_t>(n));
 
-    if (!sharded) {
-      jobs.clear();
-      for (std::size_t i = 0; i < n; ++i) {
-        const TimePoint enqueued =
-            timing_sampled() ? SteadyClock::instance().now() : kTimeZero;
-        auto data = batch.data(i);
-        // purity-ok: per-datagram owning copy — the one documented
-        // purity-ok: decision-path allocation (io_uring item removes it)
-        std::vector<std::uint8_t> payload(data.begin(), data.end());
-        // purity-ok: amortized growth into the reserved jobs scratch vector
-        jobs.push_back(Job{net::UdpSocket::Datagram{std::move(payload),
-                                                    batch.from(i)},
-                           enqueued});
-      }
-      const std::size_t accepted = fifo_.try_push_many(jobs);
-      if (accepted < n) {
-        // FIFO full: drop the overflow. The router's retry covers transient
-        // overload; sustained overload is what the scalability experiments
-        // measure — the fifo_dropped counter (exposed via /metrics) is the
-        // direct saturation signal behind the paper's Fig. 10/12 knees.
-        dropped_.inc(static_cast<std::int64_t>(n - accepted));
-      }
-      continue;
-    }
-
-    // Shard-per-worker fan-out: hash each key once (the same CRC pass the
-    // decision reuses), derive the owning shard from the upper hash bits,
-    // the owning worker from `shard % workers`, and push to that worker's
-    // SPSC ring. Malformed frames carry hash 0 and go to worker 0, which
-    // answers kMalformed exactly as a shared-queue worker would.
-    const core::ShardedQosTable& table = admission_->table();
-    const std::size_t workers = worker_state_.size();
+    // Fan-out: hash each key once (the same CRC pass the decision reuses),
+    // derive the owning shard from the upper hash bits, the owning worker
+    // from `shard % workers`, and push to that worker's SPSC ring.
+    // Malformed frames carry hash 0 and go to worker 0, which answers
+    // kMalformed exactly as a shared-queue worker would.
     std::fill(touched.begin(), touched.end(), false);
     for (std::size_t i = 0; i < n; ++i) {
-      const TimePoint enqueued =
-          timing_sampled() ? SteadyClock::instance().now() : kTimeZero;
+      const TimePoint enqueued = sample_clock(arrival, i);
       auto data = batch.data(i);
       std::size_t hash = 0;
       std::size_t target = 0;
@@ -484,8 +458,8 @@ void QosServerNode::listener_loop() {
         }
       }
       WorkerState& w = *worker_state_[target];
-      // purity-ok: per-datagram owning copy — the one documented
-      // purity-ok: decision-path allocation (io_uring item removes it)
+      // purity-ok: per-datagram owning copy — the shard-per-worker ring
+      // purity-ok: hand-off; the fused and shared-queue paths have none
       std::vector<std::uint8_t> payload(data.begin(), data.end());
       if (!w.jobs.try_push(Job{net::UdpSocket::Datagram{std::move(payload),
                                                         batch.from(i)},
@@ -538,8 +512,8 @@ void QosServerNode::run_jobs(std::span<const JobView> jobs,
                              const core::ShardOwnerToken* token,
                              ReplyBuffers& buf) {
   // Decisions are zero-copy: each JobView (and decode_request_view below)
-  // aliases the datagram bytes — a popped Job's owning buffer, or in fused
-  // mode the socket's registered receive slot directly — and the admission
+  // aliases the datagram bytes — a popped Job's owning buffer, or the
+  // receiving thread's RecvBatch slot directly — and the admission
   // check takes the key as a string_view, so a warm-key request allocates
   // nothing (tests/perf/test_hotpath_allocs.cpp) — in shard-per-worker
   // mode it also locks nothing (owner-token path, reusing the hash the
@@ -685,45 +659,55 @@ void QosServerNode::run_jobs(std::span<const JobView> jobs,
     }
   }
 
+  // service_us spans dequeue -> reply ready, recorded before the flush for
+  // the reason answered_ counts first: with the next request on another
+  // worker, a client holding its reply must already see the sample. One
+  // clock read serves the batch.
+  const TimePoint ready = SteadyClock::instance().now();
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    if (buf.dequeued_at[i] != kTimeZero) {
+      const std::int64_t service_us =
+          (ready - buf.dequeued_at[i]).count() / 1000;
+      service_us_.record(service_us);
+      // keys/traces alias the datagram bytes jobs[i] views, still alive.
+      service_exemplar_.record(service_us, buf.traces[i], buf.keys[i]);
+    }
+  }
+
   // Fire-and-forget (§III-C): "the worker thread does not care about
   // whether the request router receives the response or not." One
   // sendmmsg covers the whole burst.
   (void)socket_.send_many(buf.replies);
-
-  // service_us spans decide -> reply handed to the kernel, so the batch
-  // flush is inside the measurement; one clock read serves the batch.
-  const TimePoint flushed = SteadyClock::instance().now();
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    if (buf.dequeued_at[i] != kTimeZero) {
-      const std::int64_t service_us =
-          (flushed - buf.dequeued_at[i]).count() / 1000;
-      service_us_.record(service_us);
-      // keys/traces alias jobs[i].dg.data, still alive here.
-      service_exemplar_.record(service_us, buf.traces[i], buf.keys[i]);
-    }
-  }
 }
 
 void QosServerNode::worker_loop() {
-  // kSharedQueue: one wakeup = up to send_batch jobs popped under one FIFO
-  // lock, decided under shard mutexes, replies flushed in one sendmmsg.
+  // kSharedQueue, run to completion: block in recvmmsg on the shared socket
+  // (one waiter woken per datagram), decide up to send_batch requests as
+  // views over this worker's own receive slots under the shard mutexes,
+  // reply in one sendmmsg. stop()'s shutdown_read returns recv_many with 0.
   FlightRecorder::label_current_thread("server.worker");
-  const std::size_t batch = config_.send_batch;
-  std::vector<Job> jobs;
+  net::UdpSocket::RecvBatch batch(config_.send_batch);
   std::vector<JobView> views;
   // purity-ok: loop-start setup — sized once per thread, before any traffic
-  jobs.reserve(batch);
-  // purity-ok: loop-start setup — sized once per thread, before any traffic
-  views.reserve(batch);
-  ReplyBuffers buf(batch);
+  views.reserve(batch.capacity());
+  ReplyBuffers buf(batch.capacity());
 
-  while (true) {
-    jobs.clear();
-    if (fifo_.pop_many(jobs, batch) == 0) break;  // shutdown + drained
+  while (!stopping_.load(std::memory_order_acquire)) {
+    auto got = socket_.recv_many(batch, Duration{-1});
+    if (!got.ok()) {
+      // purity-ok: recv-error path only — never taken for healthy traffic
+      JLOG_WARN("server: recv failed: %s", got.error().message.c_str());
+      continue;
+    }
+    const std::size_t n = got.value();
+    if (n == 0) continue;  // read side shut down, or every datagram filtered
+    const std::int64_t arrival = received_.inc(static_cast<std::int64_t>(n));
+    recv_batch_size_.record(static_cast<std::int64_t>(n));
     views.clear();
-    for (const Job& j : jobs) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const TimePoint received = sample_clock(arrival, i);
       // purity-ok: amortized growth into the reserved views scratch vector
-      views.push_back(JobView{j.dg.data, &j.dg.from, j.enqueued, j.key_hash});
+      views.push_back(JobView{batch.data(i), &batch.from(i), received});
     }
     run_jobs(views, /*token=*/nullptr, buf);
   }
@@ -890,13 +874,13 @@ void QosServerNode::listener_loop_fused() {
     bool did_work = false;
 
     if (n > 0) {
-      received_.inc(static_cast<std::int64_t>(n));
+      const std::int64_t arrival =
+          received_.inc(static_cast<std::int64_t>(n));
       recv_batch_size_.record(static_cast<std::int64_t>(n));
       inline_jobs.clear();
       std::fill(touched.begin(), touched.end(), false);
       for (std::size_t i = 0; i < n; ++i) {
-        const TimePoint enqueued =
-            timing_sampled() ? SteadyClock::instance().now() : kTimeZero;
+        const TimePoint enqueued = sample_clock(arrival, i);
         auto data = batch.data(i);
         std::size_t hash = 0;
         std::size_t target = 0;
@@ -946,7 +930,10 @@ void QosServerNode::listener_loop_fused() {
   }
 }
 
-void QosServerNode::publish_uring_stats() {
+void QosServerNode::publish_socket_stats() {
+  const std::uint64_t rx_dropped = socket_.rx_dropped();
+  rx_dropped_.inc(static_cast<std::int64_t>(rx_dropped - rx_dropped_last_));
+  rx_dropped_last_ = rx_dropped;
   const net::UdpSocket::UringStats cur = socket_.uring_stats();
   uring_recv_batches_.inc(
       static_cast<std::int64_t>(cur.recv_batches - uring_last_.recv_batches));

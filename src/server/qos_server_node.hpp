@@ -4,9 +4,9 @@
 //
 // Two threading modes (core::ThreadingMode, DESIGN.md §9):
 //
-//   kSharedQueue (the paper's architecture):
-//     UDP listener ──> bounded FIFO ──> N worker threads ──> sendmmsg
-//     any worker decides any key under the key's shard mutex
+//   kSharedQueue (the paper's architecture; the kernel queue is the FIFO):
+//     socket ──> N workers blocked in recvmmsg (one woken per datagram)
+//     any worker decides any key under the key's shard mutex ──> sendmmsg
 //
 //   kShardPerWorker (shared-nothing thread-per-core):
 //     UDP listener ──┬─> SPSC ring w0 ──> worker 0 (owns shards 0,N,2N..)
@@ -18,16 +18,16 @@
 //     delivered on each worker's maintenance queue instead of locks taken
 //     by the periodic threads.
 //
-// Workers answer over the same socket the listener reads from; the server
+// Workers answer over the same socket the requests arrive on; the server
 // never tracks whether a response arrived — the router retries (§III-B).
 //
 // Concurrency model (DESIGN.md §8): the node itself holds no locks beyond
 // the per-worker park mutex (`server.worker_park`, rank kWorkerPark) that
 // guards only the idle/parked handshake. Shared state lives behind the
-// annotated sync layer of its parts — the shared FIFO's `common.queue`
-// mutex, the table's `core.qos_shard` shards (shared-queue mode only), the
-// periodic threads' `common.periodic` — plus atomics for the stop flag and
-// counters. In shard-per-worker mode a table shard is touched only by its
+// annotated sync layer of its parts — the table's `core.qos_shard` shards
+// (shared-queue mode only), the periodic threads' `common.periodic` — plus
+// atomics for the stop flag and counters. In shard-per-worker mode a table
+// shard is touched only by its
 // owning worker: no thread may use the locked table accessors while the
 // node runs (HA snapshot replication therefore pairs with kSharedQueue).
 #pragma once
@@ -59,12 +59,14 @@ namespace janus::server {
 
 struct QosServerConfig {
   std::size_t worker_threads = 4;  // "N equals the number of vCPUs" (§III-C)
+  /// Shard-per-worker ring depth, split across workers (shared-queue mode
+  /// queues in the kernel and sheds into server.rx_dropped).
   std::size_t fifo_capacity = 65536;
-  /// Max datagrams drained per listener wakeup (one recvmmsg + one bulk
-  /// FIFO push). Clamped to UdpSocket::kMaxBatch. 1 = per-datagram syscalls.
-  std::size_t recv_batch = 32;
-  /// Max jobs a worker pops per wakeup; its replies go out in one sendmmsg.
+  /// Max datagrams the shard-per-worker listener drains per wakeup.
   /// Clamped to UdpSocket::kMaxBatch. 1 = per-datagram syscalls.
+  std::size_t recv_batch = 32;
+  /// Max requests a worker takes per wakeup; its replies go out in one
+  /// sendmmsg. Clamped to UdpSocket::kMaxBatch. 1 = per-datagram syscalls.
   std::size_t send_batch = 32;
   /// Decision scheduling: the paper's shared FIFO or shared-nothing
   /// shard-per-worker (see file header). janusd --threading.
@@ -88,9 +90,9 @@ struct QosServerConfig {
   /// DESIGN.md §13). kUring combined with kShardPerWorker activates the
   /// fused run-to-completion listener: the listener thread doubles as
   /// worker 0, deciding its own shards straight out of the receive batch
-  /// (no SPSC hand-off, no per-datagram payload copy). When the kernel
-  /// capability probe fails the node silently degrades to the kAuto rules;
-  /// server.data_path reports what actually runs.
+  /// (no SPSC hand-off, no per-datagram payload copy). Under kSharedQueue
+  /// (the ring has one consumer) or a failed kernel probe the node degrades
+  /// to the kAuto rules; server.data_path reports what actually runs.
   net::UdpSocket::DataPath data_path = net::UdpSocket::DataPath::kAuto;
   /// Pin shard-per-worker threads (and the fused listener) each to its own
   /// CPU, NUMA round-robin (cpu_pinning.hpp). Advisory: a refused
@@ -135,10 +137,10 @@ class QosServerNode {
   Result<net::SockAddr> start_admin(const net::SockAddr& addr,
                                     std::string node_name = "server");
 
-  /// Prequal probe mirror (DESIGN.md §14): datagrams accepted but not yet
-  /// answered — the UDP tier's requests-in-flight, served as a
-  /// `"probe"` row on /statusz. Derived from the existing counters so the
-  /// decision path pays nothing for the probe surface.
+  /// Prequal probe mirror (DESIGN.md §14): datagrams read from the socket
+  /// but not yet answered, shed or deferred — the UDP tier's
+  /// requests-in-flight, served as a `"probe"` row on /statusz. Derived
+  /// from the existing counters so the decision path pays nothing for it.
   std::int64_t requests_in_flight() const;
 
   /// Force one maintenance pass (tests; avoids waiting on wall-clock).
@@ -201,15 +203,12 @@ class QosServerNode {
   QosServerNode(net::UdpSocket socket, net::SockAddr addr,
                 db::RuleStore& store, QosServerConfig config);
 
-  /// Datagram plus its enqueue timestamp, so workers can attribute latency
-  /// to queue wait vs. service time (the paper's §V saturation signature is
-  /// exactly queue-wait growth). Timing is sampled: the listener stamps one
-  /// job in every 1 << kTimingSampleShift and leaves the rest at kTimeZero,
-  /// keeping the per-request cost of the latency histograms to a branch
-  /// (bench_micro_hotpath bounds the regression at <5%). The sample counter
-  /// is thread-local (timing_sampled()) — no shared cache line on the path.
-  /// In shard-per-worker mode the listener also carries the key's hash so
-  /// the worker never rehashes (PR 4 single-hash path end to end).
+  /// Shard-per-worker hand-off: datagram plus its enqueue timestamp, so
+  /// workers can attribute latency to queue wait vs. service time (the
+  /// paper's §V saturation signature is exactly queue-wait growth), plus
+  /// the key's hash so the worker never rehashes. Only sampled datagrams
+  /// (sample_clock) are stamped; the rest stay kTimeZero, so the latency
+  /// histograms cost unsampled requests one branch.
   struct Job {
     net::UdpSocket::Datagram dg;
     TimePoint enqueued{kTimeZero};
@@ -217,11 +216,9 @@ class QosServerNode {
   };
   static constexpr std::uint64_t kTimingSampleShift = 3;  // 1-in-8
 
-  /// What run_jobs actually consumes: a borrowed view of one request. The
-  /// queued paths build views over popped Jobs (whose owning buffers
-  /// outlive the run_jobs call); the fused run-to-completion path builds
-  /// them straight over the RecvBatch slots — the decision never touches a
-  /// per-datagram heap copy at all.
+  /// What run_jobs actually consumes: a borrowed view of one request, over
+  /// a popped Job or straight over a RecvBatch slot (shared-queue workers,
+  /// fused listener) — then no per-datagram heap copy exists at all.
   struct JobView {
     std::span<const std::uint8_t> data;
     const net::SockAddr* from = nullptr;
@@ -280,7 +277,7 @@ class QosServerNode {
     std::vector<std::string_view> traces;
   };
 
-  JANUS_HOT_PATH_IO void listener_loop();
+  JANUS_HOT_PATH_IO void listener_loop();  // kShardPerWorker
   /// Run-to-completion mode (uring + shard-per-worker, DESIGN.md §13): the
   /// listener thread IS worker 0. It drains the uring receive batch,
   /// decides the datagrams whose shards it owns inline (views over the
@@ -293,7 +290,7 @@ class QosServerNode {
   JANUS_HOT_PATH_IO void worker_loop_sharded(std::size_t index);
 
   /// Process one batch of request views: decode, decide (mode-appropriate),
-  /// flush all replies in one batched send, record timings. Shared by both
+  /// record timings, flush all replies in one batched send. Shared by both
   /// worker loops and the fused listener; `token` is null in shared-queue
   /// mode (locked decisions) and the owner's ShardOwnerToken in
   /// shard-per-worker mode (mutex-free).
@@ -302,9 +299,10 @@ class QosServerNode {
                                      ReplyBuffers& buf);
   static constexpr int kFusedIdleSpins = 64;
 
-  /// 1-in-2^kTimingSampleShift decimation with a thread-local counter — no
-  /// shared cache line bounces between the listener and anything else.
-  static bool timing_sampled();
+  /// Enqueue stamp for datagram `i` of a batch read when server.received
+  /// stood at `first`: now() for 1 in 2^kTimingSampleShift arrivals (exact
+  /// whichever thread reads), kTimeZero for the rest.
+  static TimePoint sample_clock(std::int64_t first, std::size_t i);
 
   void wake_worker(WorkerState& w);
   /// Enqueue `kind` to every worker (retrying while queues are full) and,
@@ -326,10 +324,11 @@ class QosServerNode {
   /// One watchdog tick (PeriodicTask): flags workers with queued work but
   /// no progress since the previous tick.
   void watchdog_pass();
-  /// Pull the socket's monotonic uring counters and publish the delta into
-  /// the server.uring_* metrics. Runs on the watchdog tick and once at
-  /// stop() (no tick races stop(): the periodic tasks are joined first).
-  void publish_uring_stats();
+  /// Publish the deltas of the socket's monotonic counters into
+  /// server.rx_dropped and server.uring_*. Runs on the watchdog tick and
+  /// once at stop() (no tick races stop(): the periodic tasks are joined
+  /// first).
+  void publish_socket_stats();
   /// Refresh server.db_rules / server.db_bytes from the rules table. Runs
   /// at construction and on every watchdog tick.
   void publish_db_stats();
@@ -348,14 +347,14 @@ class QosServerNode {
   core::DbRuleSource source_;
   core::DbRuleSink sink_;
   std::unique_ptr<core::AdmissionController> admission_;
-  BlockingQueue<Job> fifo_;                                 // kSharedQueue
   std::vector<std::unique_ptr<WorkerState>> worker_state_;  // kShardPerWorker
 
   MetricsRegistry metrics_;
   Counter& received_;
   Counter& answered_;
   Counter& malformed_;
-  Counter& dropped_;
+  Counter& dropped_;           // server.fifo_dropped (sharded rings)
+  Counter& rx_dropped_;        // server.rx_dropped (kernel queue)
   Counter& maint_rejected_;    // server.maint_queue_reject
   Counter& watchdog_stalls_;   // server.watchdog_stalls
   HistogramMetric& queue_wait_us_;
@@ -372,7 +371,7 @@ class QosServerNode {
   /// 3 uring — operators see degraded-probe outcomes here, not in logs.
   Gauge& data_path_gauge_;
   // server.uring_*: deltas of the socket's monotonic uring counters,
-  // published by publish_uring_stats() (all flat when the provider is off).
+  // published by publish_socket_stats() (all flat when the provider is off).
   Counter& uring_recv_batches_;
   Counter& uring_recv_datagrams_;
   Counter& uring_send_batches_;
@@ -399,10 +398,11 @@ class QosServerNode {
   std::vector<std::uint8_t> watchdog_strikes_;
   std::uint64_t watchdog_last_answered_ = 0;
   std::uint8_t watchdog_answered_strikes_ = 0;
-  /// Last-published uring counter snapshot (watchdog thread + stop() only,
+  /// Last-published socket counter snapshots (watchdog thread + stop() only,
   /// which never overlap — the periodic tasks are joined before stop()
   /// publishes the final delta).
   net::UdpSocket::UringStats uring_last_;
+  std::uint64_t rx_dropped_last_ = 0;
   /// True when this node runs the fused run-to-completion listener (uring
   /// provider active + shard-per-worker). Set once in the constructor.
   bool fused_ = false;
@@ -425,7 +425,7 @@ class QosServerNode {
   /// (tests/server/test_server_shutdown.cpp pins the no-stranded-job
   /// invariant).
   std::atomic<bool> listener_done_{false};
-  std::thread listener_;
+  std::thread listener_;  // kShardPerWorker only
   std::vector<std::thread> workers_;
   std::vector<std::unique_ptr<PeriodicTask>> maintenance_;
   std::unique_ptr<net::AdminServer> admin_;

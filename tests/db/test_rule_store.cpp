@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
+#include <cstdio>
+#include <filesystem>
 #include <latch>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -175,6 +180,115 @@ TEST(RuleStoreTest, WorksThroughReplicatedDatabase) {
   auto got = standby_store.get("alice");
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(*got, sample_rule());
+}
+
+// ---------------------------------------------------- load_rules_file
+
+class RulesFileTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    const std::string stem =
+        ::testing::TempDir() + "janus_rules_" + std::to_string(::getpid()) +
+        "_" + ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    rules_path_ = stem + ".conf";
+    wal_path_ = stem + ".wal";
+    std::remove(rules_path_.c_str());
+    std::remove(wal_path_.c_str());
+  }
+  void TearDown() override {
+    std::remove(rules_path_.c_str());
+    std::remove(wal_path_.c_str());
+  }
+
+  void write_rules(const std::string& text) {
+    std::FILE* f = std::fopen(rules_path_.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs(text.c_str(), f);
+    std::fclose(f);
+  }
+
+  std::string rules_path_;
+  std::string wal_path_;
+};
+
+TEST_F(RulesFileTest, ParsesRulesCommentsAndOptionalCredit) {
+  write_rules("# tenants\n\nalice = 10 20\n  bob =  1   2  1 \n");
+  Database db;
+  RuleStore store(db);
+  ASSERT_TRUE(load_rules_file(store, rules_path_).ok());
+  EXPECT_EQ(store.get("alice"), (RuleRow{.key = "alice", .refill_per_sec = 10,
+                                         .capacity = 20, .credit = 20}));
+  EXPECT_EQ(store.get("bob"), (RuleRow{.key = "bob", .refill_per_sec = 1,
+                                       .capacity = 2, .credit = 1}));
+  EXPECT_EQ(store.size(), 2u);
+}
+
+TEST_F(RulesFileTest, ErrorsNameTheLine) {
+  Database db;
+  RuleStore store(db);
+  write_rules("alice = 10 20\nbob 1 2\n");
+  auto s = load_rules_file(store, rules_path_);
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.error().message.find("rules line 2"), std::string::npos);
+  write_rules("alice = 10 20 5 1\n");
+  EXPECT_NE(load_rules_file(store, rules_path_).error().message.find(
+                "bad format"),
+            std::string::npos);
+  write_rules("alice = ten 20\n");
+  EXPECT_NE(load_rules_file(store, rules_path_).error().message.find(
+                "bad number"),
+            std::string::npos);
+  write_rules("alice = 1 2 3\n");  // credit above capacity
+  EXPECT_FALSE(load_rules_file(store, rules_path_).ok());
+  EXPECT_FALSE(load_rules_file(store, rules_path_ + ".missing").ok());
+}
+
+TEST_F(RulesFileTest, RestartKeepsCheckpointedCreditAndDoesNotRelog) {
+  // §II-D: a restarted server starts from the last check-pointed credit.
+  // Reloading the unchanged rules file after WAL recovery must neither hand
+  // the spent credit back nor append to the WAL.
+  write_rules("alice = 0 10\nbob = 5 8\n");
+  {
+    Database db;
+    ASSERT_TRUE(db.enable_wal(wal_path_).ok());
+    RuleStore store(db);
+    ASSERT_TRUE(load_rules_file(store, rules_path_).ok());
+    ASSERT_TRUE(store.checkpoint_credit("alice", 0).ok());
+    ASSERT_TRUE(store.checkpoint_credit("bob", 3).ok());
+  }  // crash: nothing but the WAL survives
+  const auto wal_bytes = std::filesystem::file_size(wal_path_);
+
+  // The janusd order: the table exists before recovery replays into it.
+  Database db;
+  RuleStore store(db);
+  ASSERT_TRUE(db.recover(wal_path_).ok());
+  ASSERT_TRUE(db.enable_wal(wal_path_).ok());
+  ASSERT_TRUE(load_rules_file(store, rules_path_).ok());
+  EXPECT_EQ(store.get("alice")->credit, 0.0);
+  EXPECT_EQ(store.get("bob")->credit, 3.0);
+  EXPECT_EQ(std::filesystem::file_size(wal_path_), wal_bytes)
+      << "reloading unchanged rules re-logged them";
+}
+
+TEST_F(RulesFileTest, ChangedOrNewRuleOverridesRecoveredRow) {
+  write_rules("alice = 0 10\n");
+  {
+    Database db;
+    ASSERT_TRUE(db.enable_wal(wal_path_).ok());
+    RuleStore store(db);
+    ASSERT_TRUE(load_rules_file(store, rules_path_).ok());
+    ASSERT_TRUE(store.checkpoint_credit("alice", 0).ok());
+  }
+  // The operator raised alice's capacity and added carol: both take the
+  // file's values.
+  write_rules("alice = 0 20\ncarol = 1 4\n");
+  Database db;
+  RuleStore store(db);
+  ASSERT_TRUE(db.recover(wal_path_).ok());
+  ASSERT_TRUE(load_rules_file(store, rules_path_).ok());
+  EXPECT_EQ(store.get("alice"), (RuleRow{.key = "alice", .refill_per_sec = 0,
+                                         .capacity = 20, .credit = 20}));
+  EXPECT_EQ(store.get("carol")->credit, 4.0);
 }
 
 }  // namespace

@@ -65,6 +65,64 @@ TEST(UdpSocketTest, SendAndReceiveDatagram) {
             "pong");
 }
 
+TEST(UdpSocketTest, MaxSizeDatagramThenShortOneArriveIntact) {
+  // recv() reuses one uninitialised 64 KiB buffer per thread: the largest
+  // IPv4 UDP payload must fit whole, and a short datagram after it must not
+  // carry any of its bytes.
+  auto server = UdpSocket::bind({"127.0.0.1", 0});
+  ASSERT_TRUE(server.ok());
+  auto addr = server.value().local_addr().value();
+  auto client = UdpSocket::create();
+  ASSERT_TRUE(client.ok());
+  std::vector<std::uint8_t> big(65507);
+  for (std::size_t i = 0; i < big.size(); ++i) {
+    big[i] = static_cast<std::uint8_t>(i * 31 + 7);
+  }
+  ASSERT_TRUE(client.value().send_to(addr, big).ok());
+  ASSERT_TRUE(client.value().send_to(addr, bytes("tail")).ok());
+
+  auto first = server.value().recv(millis(500));
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(first.value().has_value());
+  EXPECT_EQ(first.value()->data, big);
+  auto second = server.value().recv(Duration{-1});
+  ASSERT_TRUE(second.ok());
+  ASSERT_TRUE(second.value().has_value());
+  EXPECT_EQ(std::string(second.value()->data.begin(),
+                        second.value()->data.end()),
+            "tail");
+}
+
+TEST(UdpSocketTest, ShutdownReadWakesABlockedRecv) {
+  auto server = UdpSocket::bind({"127.0.0.1", 0});
+  ASSERT_TRUE(server.ok());
+  Result<std::optional<UdpSocket::Datagram>> got =
+      std::optional<UdpSocket::Datagram>{UdpSocket::Datagram{}};
+  std::thread waiter([&] { got = server.value().recv(Duration{-1}); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  server.value().shutdown_read();
+  waiter.join();
+  ASSERT_TRUE(got.ok());
+  EXPECT_FALSE(got.value().has_value());
+}
+
+TEST(UdpSocketTest, ReceiveQueueOverflowIsCountedAsRxDropped) {
+  auto server = UdpSocket::bind({"127.0.0.1", 0});
+  ASSERT_TRUE(server.ok());
+  auto addr = server.value().local_addr().value();
+  auto client = UdpSocket::create();
+  ASSERT_TRUE(client.ok());
+  EXPECT_EQ(server.value().rx_dropped(), 0u);
+  EXPECT_EQ(server.value().rx_next_bytes(), 0u);
+  // Nobody reads: the default receive buffer holds a few hundred small
+  // datagrams, so 20k must overflow it.
+  for (int i = 0; i < 20000; ++i) {
+    ASSERT_TRUE(client.value().send_to(addr, bytes("flood")).ok());
+  }
+  EXPECT_GT(server.value().rx_dropped(), 0u);
+  EXPECT_EQ(server.value().rx_next_bytes(), 5u);
+}
+
 TEST(UdpSocketTest, RecvTimesOutCleanly) {
   auto sock = UdpSocket::bind({"127.0.0.1", 0});
   ASSERT_TRUE(sock.ok());
@@ -195,6 +253,45 @@ TEST_P(UdpSocketProviderTest, RecvManyTimesOutWithZero) {
   auto n = server.recv_many(batch, millis(20));
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(n.value(), 0u);
+}
+
+TEST_P(UdpSocketProviderTest, BlockingRecvManyWaitsForWorkThenShutdown) {
+  // timeout < 0 blocks in the receive syscall itself. Datagrams queued
+  // before shutdown_read() are still delivered; after that a blocked (or
+  // later) call returns 0 at once. The uring provider's single-consumer
+  // ring is never shut down this way (the fused listener polls stopping_).
+  if (GetParam() == UdpSocket::DataPath::kUring) {
+    GTEST_SKIP() << "shutdown wake-up is an mmsg/fallback contract";
+  }
+  UdpSocket server = make_server();
+  auto addr = server.local_addr().value();
+  auto client = UdpSocket::create();
+  ASSERT_TRUE(client.ok());
+  UdpSocket::RecvBatch batch(4);
+
+  std::thread late_sender([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    (void)client.value().send_to(addr, bytes("late"));
+  });
+  auto n = server.recv_many(batch, Duration{-1});
+  late_sender.join();
+  ASSERT_TRUE(n.ok());
+  ASSERT_EQ(n.value(), 1u);
+  EXPECT_EQ(std::string(reinterpret_cast<const char*>(batch.data(0).data()),
+                        batch.data(0).size()),
+            "late");
+
+  ASSERT_TRUE(client.value().send_to(addr, bytes("queued")).ok());
+  server.shutdown_read();
+  n = server.recv_many(batch, Duration{-1});
+  ASSERT_TRUE(n.ok());
+  EXPECT_EQ(n.value(), 1u) << "a datagram queued before shutdown was lost";
+
+  Result<std::size_t> woken = std::size_t{99};
+  std::thread waiter([&] { woken = server.recv_many(batch, Duration{-1}); });
+  waiter.join();
+  ASSERT_TRUE(woken.ok());
+  EXPECT_EQ(woken.value(), 0u);
 }
 
 TEST_P(UdpSocketProviderTest, SingleRecvRoutesThroughProvider) {
@@ -383,6 +480,17 @@ TEST(TcpTest, AcceptTimesOut) {
   auto conn = listener.value().accept(millis(20));
   ASSERT_TRUE(conn.ok());
   EXPECT_FALSE(conn.value().has_value());
+}
+
+TEST(TcpTest, ShutdownWakesABlockedAccept) {
+  auto listener = TcpListener::listen({"127.0.0.1", 0});
+  ASSERT_TRUE(listener.ok());
+  Result<std::optional<TcpStream>> got = std::optional<TcpStream>{};
+  std::thread waiter([&] { got = listener.value().accept(Duration{-1}); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  listener.value().shutdown();
+  waiter.join();
+  EXPECT_FALSE(got.ok()) << "accept() after shutdown must fail, not block";
 }
 
 TEST(TcpTest, ConnectToClosedPortFails) {

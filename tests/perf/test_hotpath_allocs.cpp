@@ -24,8 +24,10 @@
 #include "common/metrics.hpp"
 #include "core/admission.hpp"
 #include "core/qos_table.hpp"
+#include "db/rule_store.hpp"
 #include "lb/prequal.hpp"
 #include "net/socket.hpp"
+#include "server/qos_server_node.hpp"
 #include "wire/codec.hpp"
 #include "wire/message.hpp"
 
@@ -33,6 +35,10 @@ namespace {
 
 thread_local bool g_counting = false;
 thread_local std::uint64_t g_alloc_count = 0;
+// Process-wide counting, for paths that run on threads the test does not
+// own (a live server's workers).
+std::atomic<bool> g_counting_all{false};
+std::atomic<std::uint64_t> g_all_count{0};
 
 struct AllocGuard {
   AllocGuard() {
@@ -43,8 +49,24 @@ struct AllocGuard {
   std::uint64_t count() const { return g_alloc_count; }
 };
 
-void* counted_alloc(std::size_t size) {
+struct ProcessAllocGuard {
+  ProcessAllocGuard() {
+    g_all_count.store(0);
+    g_counting_all.store(true);
+  }
+  ~ProcessAllocGuard() { g_counting_all.store(false); }
+  std::uint64_t count() const { return g_all_count.load(); }
+};
+
+void count_alloc() {
   if (g_counting) ++g_alloc_count;
+  if (g_counting_all.load(std::memory_order_relaxed)) {
+    g_all_count.fetch_add(1, std::memory_order_relaxed);
+  }
+}
+
+void* counted_alloc(std::size_t size) {
+  count_alloc();
   void* p = std::malloc(size ? size : 1);
   if (!p) throw std::bad_alloc();
   return p;
@@ -55,11 +77,11 @@ void* counted_alloc(std::size_t size) {
 void* operator new(std::size_t size) { return counted_alloc(size); }
 void* operator new[](std::size_t size) { return counted_alloc(size); }
 void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  if (g_counting) ++g_alloc_count;
+  count_alloc();
   return std::malloc(size ? size : 1);
 }
 void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-  if (g_counting) ++g_alloc_count;
+  count_alloc();
   return std::malloc(size ? size : 1);
 }
 void operator delete(void* p) noexcept { std::free(p); }
@@ -469,6 +491,67 @@ TEST(HotpathAllocTest, MmsgBatchIoIsAllocationFree) {
   ASSERT_NE(allocs, ~0ull) << "mmsg batch I/O cycle failed";
   EXPECT_EQ(allocs, 0u)
       << "warm mmsg send_many/recv_many allocated; batch path regressed";
+}
+
+TEST(HotpathAllocTest, SharedQueueWorkerWarmDecisionIsAllocationFree) {
+  // The default server path end to end on the worker's side: recvmmsg into
+  // the worker's own batch, decide in place under the shard mutex, sendmmsg
+  // the reply. With no listener there is no per-datagram copy left, so a
+  // warm request allocates nothing on any server thread. Counted process-
+  // wide; the client side (send_to + recv_many into a reused batch) is
+  // allocation-free too (MmsgBatchIoIsAllocationFree).
+  db::Database db;
+  db::RuleStore store(db);
+  ASSERT_TRUE(store.put({.key = "tenant-9/render", .refill_per_sec = 1e6,
+                         .capacity = 1e9, .credit = 1e9}).ok());
+  server::QosServerConfig cfg;
+  cfg.worker_threads = 1;
+  cfg.sync_interval = Duration{0};
+  cfg.checkpoint_interval = Duration{0};
+  cfg.watchdog_interval = Duration{0};
+  auto node = server::QosServerNode::start({"127.0.0.1", 0}, store, cfg);
+  ASSERT_TRUE(node.ok()) << node.error().message;
+  const net::SockAddr addr = node.value()->addr();
+
+  auto client = net::UdpSocket::bind({"127.0.0.1", 0});
+  ASSERT_TRUE(client.ok());
+  wire::QosRequest req;
+  req.request_id = 1;
+  req.type = wire::RequestType::kCheck;
+  req.cost = 1;
+  req.key = "tenant-9/render";
+  std::vector<std::uint8_t> frame;
+  wire::encode_to(req, frame);
+  net::UdpSocket::RecvBatch reply(1);
+  auto round_trip = [&] {
+    if (!client.value().send_to(addr, frame).ok()) return false;
+    auto n = client.value().recv_many(reply, seconds(2));
+    return n.ok() && n.value() == 1;
+  };
+  {
+    // Control: the first touch allocates on the worker thread; the
+    // process-wide guard must see it, or the zero below would be vacuous.
+    ProcessAllocGuard guard;
+    ASSERT_TRUE(round_trip());
+    EXPECT_GE(guard.count(), 1u);
+  }
+  // Warm-up: the worker's flight-recorder ring and every lazily sized
+  // scratch buffer.
+  for (int i = 0; i < 128; ++i) ASSERT_TRUE(round_trip());
+  warm_flight_recorder();
+
+  std::uint64_t allocs = 0;
+  {
+    ProcessAllocGuard guard;
+    for (int i = 0; i < 256; ++i) ASSERT_TRUE(round_trip());
+    allocs = guard.count();
+  }
+  EXPECT_EQ(allocs, 0u)
+      << "a warm decision through the shared-queue worker allocated";
+  auto decoded = wire::decode_response(reply.data(0));
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_TRUE(decoded.value().allowed);
+  node.value()->stop();
 }
 
 TEST(HotpathAllocTest, PrequalPickIsAllocationFree) {

@@ -1,15 +1,17 @@
-// Shutdown-ordering regression (DESIGN.md §9.1). The listener is the sole
-// SPSC producer for the sharded worker rings; QosServerNode::stop() must
-// join it BEFORE the workers are allowed to exit, or a worker that saw
-// stopping_ with a momentarily-empty ring could leave while the listener's
-// final recvmmsg batch was still being fanned out — stranding accepted jobs
-// that are then neither answered nor counted dropped. The invariant that
-// pins this down, in both threading modes, under a concurrent blast:
+// Shutdown-ordering regression (DESIGN.md §9.1). In shard-per-worker mode
+// the listener is the sole SPSC producer for the worker rings;
+// QosServerNode::stop() must join it BEFORE the workers are allowed to
+// exit, or a worker that saw stopping_ with a momentarily-empty ring could
+// leave while the listener's final recvmmsg batch was still being fanned
+// out — stranding accepted jobs that are then neither answered nor counted
+// dropped. Shared-queue workers read the socket themselves and must finish
+// every batch they received. The invariant that pins this down, in both
+// threading modes, under a concurrent blast:
 //
 //   received == answered + fifo_dropped + malformed (+ cluster_deferred)
 //
-// Every datagram the listener accepted is accounted for at the moment
-// stop() returns; a stranded job breaks the equation.
+// Every datagram the server received is accounted for at the moment stop()
+// returns; a stranded job breaks the equation.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -21,6 +23,7 @@
 #include "db/rule_store.hpp"
 #include "net/socket.hpp"
 #include "server/qos_server_node.hpp"
+#include "testing/fault_injector.hpp"
 #include "wire/codec.hpp"
 
 namespace janus::server {
@@ -42,6 +45,18 @@ class ServerShutdownTest
 std::int64_t counter_value(QosServerNode& node, const std::string& name) {
   return node.metrics().counter(name).value();
 }
+
+class ServerOverloadTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    store_ = std::make_unique<db::RuleStore>(db_);
+    ASSERT_TRUE(store_->put({.key = "tenant", .refill_per_sec = 1000,
+                             .capacity = 1000, .credit = 1000}).ok());
+  }
+
+  db::Database db_;
+  std::unique_ptr<db::RuleStore> store_;
+};
 
 TEST_P(ServerShutdownTest, StopMidBlastStrandsNoAcceptedJobs) {
   // Small rings + tiny batches widen the race window the ordering bug needs:
@@ -97,6 +112,49 @@ TEST_P(ServerShutdownTest, StopMidBlastStrandsNoAcceptedJobs) {
         << " answered=" << answered << " dropped=" << dropped
         << " malformed=" << malformed << " deferred=" << deferred << ")";
   }
+}
+
+TEST_F(ServerOverloadTest, SharedQueueBlastShedsInTheKernelQueue) {
+  // Shared-queue mode has no user-space FIFO: the socket's kernel receive
+  // queue buffers requests and sheds the overflow, exported as
+  // server.rx_dropped. A burst of 5000 datagrams against one worker slowed
+  // to 200 µs a datagram must overflow it (the default receive buffer holds
+  // a few hundred) — and every datagram the worker did receive is still
+  // answered.
+  QosServerConfig cfg;
+  cfg.worker_threads = 1;
+  cfg.sync_interval = Duration{0};
+  cfg.checkpoint_interval = Duration{0};
+  cfg.watchdog_interval = Duration{0};  // rx_dropped is published at stop()
+  auto started = QosServerNode::start({"127.0.0.1", 0}, *store_, cfg);
+  ASSERT_TRUE(started.ok()) << started.error().message;
+  auto node = std::move(started).take();
+
+  wire::QosRequest req;
+  req.key = "tenant";
+  req.cost = 1;
+  const std::vector<std::uint8_t> frame = wire::encode(req);
+  testing::ScopedFault slow(testing::FaultPoint::kServerSlowService,
+                            {.param = 200});
+  auto sock = net::UdpSocket::bind({"127.0.0.1", 0});
+  ASSERT_TRUE(sock.ok());
+  for (int i = 0; i < 5000; ++i) {
+    ASSERT_TRUE(sock.value().send_to(node->addr(), frame).ok());
+  }
+  node->stop();
+
+  const std::int64_t received = counter_value(*node, "server.received");
+  const std::int64_t answered = counter_value(*node, "server.answered");
+  const std::int64_t dropped = counter_value(*node, "server.fifo_dropped");
+  const std::int64_t malformed = counter_value(*node, "server.malformed");
+  const std::int64_t deferred =
+      counter_value(*node, "server.cluster_deferred");
+  EXPECT_GT(counter_value(*node, "server.rx_dropped"), 0)
+      << "the kernel queue never overflowed (received=" << received << ")";
+  EXPECT_GT(received, 0);
+  EXPECT_EQ(dropped, 0) << "shared-queue mode has no user-space ring";
+  EXPECT_EQ(received, answered + dropped + malformed + deferred)
+      << "received=" << received << " answered=" << answered;
 }
 
 TEST_P(ServerShutdownTest, StopOnIdleServerIsCleanAndIdempotent) {

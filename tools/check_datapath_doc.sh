@@ -28,6 +28,7 @@ dg_symbol_sync "§13" \
   "kLegacyBufs:$src/net/uring.hpp" \
   "IORING_OP_PROVIDE_BUFFERS:$src/net/uring.hpp" \
   "listener_loop_fused:$src/server/qos_server_node.hpp" \
+  "fused():$src/server/qos_server_node.hpp" \
   "kFusedIdleSpins:$src/server/qos_server_node.hpp" \
   "JobView:$src/server/qos_server_node.hpp" \
   "pin_workers:$src/server/qos_server_node.hpp" \

@@ -30,12 +30,17 @@ dg_symbol_sync "§9.1" \
   "MaintCmd:$src/server/qos_server_node.hpp" \
   "dispatch_maintenance:$src/server/qos_server_node.hpp" \
   "worker_loop_sharded:$src/server/qos_server_node.hpp" \
+  "worker_loop:$src/server/qos_server_node.hpp" \
+  "shutdown_read:$src/net/socket.hpp" \
+  "rx_next_bytes:$src/net/socket.hpp" \
   "validate_config:$src/server/qos_server_node.hpp"
 
 # The lock-rank table must carry the park handshake row (§8) and the metric
-# table the mode gauge (§6) — both are part of the threading contract.
+# table the mode gauge and the shared-queue mode's kernel-queue drops (§6) —
+# all part of the threading contract.
 dg_require_backticked "§8/§6" \
-  server.worker_park server.threading_mode server.worker_queue_depth.w
+  server.worker_park server.threading_mode server.worker_queue_depth.w \
+  server.rx_dropped
 
 dg_require_artifacts "§9.1" \
   "$repo_root/BENCH_PR5.json" \

@@ -53,11 +53,12 @@
 //   10.0.0.7  = 5 20 12.5
 //
 // A SIGINT/SIGTERM stops the node cleanly.
+#include <signal.h>
+
 #include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <functional>
 
 #include "cluster/coordinator.hpp"
@@ -80,6 +81,27 @@ namespace {
 
 volatile std::sig_atomic_t g_stop = 0;
 void handle_signal(int) { g_stop = 1; }
+
+/// main() blocks SIGINT/SIGTERM before any thread starts, so every thread
+/// inherits the block; the main thread unblocks them only inside
+/// sigsuspend() and sleeps there until one arrives instead of polling.
+sigset_t g_wait_mask;
+
+void install_stop_signals() {
+  std::signal(SIGINT, handle_signal);
+  std::signal(SIGTERM, handle_signal);
+  sigset_t stop;
+  sigemptyset(&stop);
+  sigaddset(&stop, SIGINT);
+  sigaddset(&stop, SIGTERM);
+  pthread_sigmask(SIG_BLOCK, &stop, &g_wait_mask);
+  sigdelset(&g_wait_mask, SIGINT);
+  sigdelset(&g_wait_mask, SIGTERM);
+}
+
+void wait_for_stop_signal() {
+  while (!g_stop) sigsuspend(&g_wait_mask);
+}
 
 /// "--flag value" / "--flag=value" argument map; false on unknown syntax.
 bool parse_flags(int argc, char** argv, int first,
@@ -208,52 +230,6 @@ Result<cluster::MemberSpec> parse_member_spec(std::string_view text,
   return spec;
 }
 
-Status load_rules(db::RuleStore& store, const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Error("cannot open rules file: " + path);
-  std::string line;
-  int lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    std::string_view text = trim(line);
-    if (text.empty() || text[0] == '#') continue;
-    std::size_t eq = text.find('=');
-    if (eq == std::string_view::npos) {
-      return Error("rules line " + std::to_string(lineno) +
-                   ": expected 'key = rate capacity [credit]'");
-    }
-    const std::string_view key = trim(text.substr(0, eq));
-    // Up to three space-separated numbers; a fourth field is a format error.
-    std::string_view fields[4];
-    std::size_t nfields = 0;
-    std::string_view rest = trim(text.substr(eq + 1));
-    while (nfields < 4) {
-      const std::size_t start = rest.find_first_not_of(' ');
-      if (start == std::string_view::npos) break;
-      rest.remove_prefix(start);
-      const std::size_t end = std::min(rest.find(' '), rest.size());
-      fields[nfields++] = rest.substr(0, end);
-      rest.remove_prefix(end);
-    }
-    if (key.empty() || nfields < 2 || nfields > 3) {
-      return Error("rules line " + std::to_string(lineno) + ": bad format");
-    }
-    auto rate = parse_double(fields[0]);
-    auto capacity = parse_double(fields[1]);
-    auto credit = nfields == 3 ? parse_double(fields[2]) : capacity;
-    if (!rate || !capacity || !credit) {
-      return Error("rules line " + std::to_string(lineno) + ": bad number");
-    }
-    if (auto s = store.put({.key = std::string(key), .refill_per_sec = *rate,
-                            .capacity = *capacity, .credit = *credit});
-        !s.ok()) {
-      return Error("rules line " + std::to_string(lineno) + ": " +
-                   s.error().message);
-    }
-  }
-  return Status::success();
-}
-
 int run_server(const std::map<std::string, std::string>& flags) {
   auto listen_it = flags.find("listen");
   auto rules_it = flags.find("rules");
@@ -280,7 +256,8 @@ int run_server(const std::map<std::string, std::string>& flags) {
       return 1;
     }
   }
-  if (auto s = load_rules(store, rules_it->second); !s.ok()) {
+  // After WAL recovery: unchanged rules keep their check-pointed credit.
+  if (auto s = db::load_rules_file(store, rules_it->second); !s.ok()) {
     std::fprintf(stderr, "janusd: %s\n", s.error().message.c_str());
     return 1;
   }
@@ -474,9 +451,7 @@ int run_server(const std::map<std::string, std::string>& flags) {
         });
   }
 
-  while (!g_stop) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  }
+  wait_for_stop_signal();
   std::printf("janusd: stopping\n");
   if (stats_task) stats_task->stop();
   if (compactor) compactor->stop();
@@ -624,9 +599,7 @@ int run_router(const std::map<std::string, std::string>& flags) {
     std::fflush(stdout);
   }
 
-  while (!g_stop) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  }
+  wait_for_stop_signal();
   std::printf("janusd: stopping\n");
   if (stats_task) stats_task->stop();
   if (coordinator) coordinator->stop();
@@ -707,9 +680,7 @@ int run_gateway(const std::map<std::string, std::string>& flags) {
     return 2;
   }
 
-  while (!g_stop) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  }
+  wait_for_stop_signal();
   std::printf("janusd: stopping\n");
   if (stats_task) stats_task->stop();
   g.stop();
@@ -720,8 +691,7 @@ int run_gateway(const std::map<std::string, std::string>& flags) {
 
 int main(int argc, char** argv) {
   Logger::instance().set_level(LogLevel::kInfo);
-  std::signal(SIGINT, handle_signal);
-  std::signal(SIGTERM, handle_signal);
+  install_stop_signals();
 
   if (argc < 2) {
     std::fprintf(stderr, "usage: janusd <server|router|gateway> --flags...\n");

@@ -5,7 +5,7 @@
 # Usage:
 #   tools/run_sanitizers.sh                  # address, thread, undefined
 #   tools/run_sanitizers.sh thread           # one preset only
-#   tools/run_sanitizers.sh --fast           # ASan, chaos+fuzz+db-model subset (CTest)
+#   tools/run_sanitizers.sh --fast           # ASan, chaos+fuzz+db-model+server-shutdown subset (CTest)
 #
 # Each preset gets its own build tree (build-san-<preset>/) configured with
 # -DJANUS_SANITIZER_CTEST=OFF so the nested build can never recurse into this
@@ -96,6 +96,11 @@ run_suites() {
   # fault suite.
   "$bindir/tests/janus_test_db" --gtest_brief=1 \
     --gtest_filter='TableModelTest.*:TableFootprintTest.*:WalFaultTest.*'
+  # The server's stop/wake-up paths: blocked workers and accept loops woken
+  # through their sockets, shutdown accounting under a blast, and kernel
+  # receive-queue overflow.
+  "$bindir/tests/janus_test_server" --gtest_brief=1 \
+    --gtest_filter='*ServerShutdownTest.*:ServerOverloadTest.*:IdleWakeupTest.*'
   if [ "$fast" = fast ]; then return 0; fi
   "$bindir/tests/janus_test_common" --gtest_brief=1 --gtest_filter='FaultInjectorTest.*'
   "$bindir/tests/janus_test_router" --gtest_brief=1 --gtest_filter='UdpClientFaultTest.*'
@@ -123,11 +128,12 @@ for preset in $presets; do
     -DJANUS_SANITIZER_CTEST=OFF >/dev/null
   if [ "$mode" = fast ]; then
     cmake --build "$build_dir" -j "$jobs" \
-      --target janus_test_chaos janus_test_wire janus_test_db >/dev/null
+      --target janus_test_chaos janus_test_wire janus_test_db \
+               janus_test_server >/dev/null
   else
     cmake --build "$build_dir" -j "$jobs" \
       --target janus_test_chaos janus_test_wire janus_test_common \
-               janus_test_db janus_test_router >/dev/null
+               janus_test_db janus_test_router janus_test_server >/dev/null
   fi
 
   echo "== [$preset] run chaos / fault / property suites =="
