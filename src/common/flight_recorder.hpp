@@ -1,11 +1,9 @@
 // Always-on flight recorder: per-thread fixed-size rings of compact binary
 // trace events covering the whole decision path (stage enter/exit at the
-// gateway, router and server worker, queue depth at dispatch, sampled
-// admission verdicts, queue rejects, fault-point fires, watchdog stalls).
-// The rings are the same thread-local ownership story as ShardOwnerToken:
-// each ring has exactly one writer — the thread that registered it — so the
-// hot path takes no lock and allocates nothing after the thread's first
-// event. Readers (the /tracez admin endpoint, the chaos auto-dump) snapshot
+// gateway, router and server worker, sampled admission verdicts, fault-point
+// fires, watchdog stalls). Each ring has exactly one writer — the thread
+// that registered it — so the hot path takes no lock and allocates nothing
+// after the thread's first event. Readers (the /tracez admin endpoint, the chaos auto-dump) snapshot
 // concurrently through a per-slot seqlock.
 //
 // Memory model: every slot field is a std::atomic. The writer publishes a
@@ -51,13 +49,13 @@
 namespace janus {
 
 /// Which pipeline stage emitted an event. Order is wire format (meta byte 1)
-/// — append only.
+/// — append only; a retired value keeps its number and is never reused.
 enum class TraceStage : std::uint8_t {
   kGateway = 0,     // lb::GatewayBalancer::handle
   kRouter,          // router::RouterNode::handle (HTTP e2e span)
   kRouterUdp,       // router::RouterNode::dispatch (UDP call span)
-  kServerListener,  // server listener: dispatch-time queue depth / rejects
-  kServerWorker,    // server worker: decode -> decide -> reply span
+  // 3: retired (the former request-dispatch listener thread)
+  kServerWorker = 4,  // server worker: decode -> decide -> reply span
   kAdmission,       // AdmissionController verdicts (sampled, always-on)
   kWatchdog,        // stalled-worker watchdog
   kFault,           // testing::FaultInjector fires
@@ -68,21 +66,22 @@ enum class TraceStage : std::uint8_t {
   kStageCount,
 };
 
-/// What an event means. Order is wire format (meta byte 0) — append only.
+/// What an event means. Order is wire format (meta byte 0) — append only;
+/// a retired value keeps its number and is never reused.
 enum class TraceEventType : std::uint8_t {
   kStageEnter = 0,  // arg: free
   kStageExit,       // arg: status/allowed, stage-specific
-  kQueueDepth,      // arg: ring depth observed at dispatch
-  kAdmission,       // trace: key hash; arg: packed verdict (see below)
-  kQueueReject,     // arg: target worker index
-  kFault,           // arg: FaultPoint index
-  kWatchdogStall,   // arg: stalled worker index
+  // 2: retired (dispatch-time queue depth)
+  kAdmission = 3,   // trace: key hash; arg: packed verdict (see below)
+  // 4: retired (dispatch-queue reject)
+  kFault = 5,       // arg: FaultPoint index
+  kWatchdogStall,   // arg: always 0 (the receive queue is shared)
   kTypeCount,
 };
 
 inline std::string_view trace_stage_name(TraceStage s) {
   static constexpr std::string_view kNames[] = {
-      "gateway",   "router",    "router.udp", "server.listener",
+      "gateway",   "router",    "router.udp", "?",
       "server.worker", "admission", "watchdog",   "fault",
       "cluster.migrate", "cluster.bfd", "gateway.probe",
   };
@@ -93,8 +92,8 @@ inline std::string_view trace_stage_name(TraceStage s) {
 
 inline std::string_view trace_event_type_name(TraceEventType t) {
   static constexpr std::string_view kNames[] = {
-      "stage_enter", "stage_exit",  "queue_depth",    "admission",
-      "queue_reject", "fault_fire", "watchdog_stall",
+      "stage_enter", "stage_exit", "?", "admission",
+      "?",           "fault_fire", "watchdog_stall",
   };
   const auto i = static_cast<std::size_t>(t);
   return i < static_cast<std::size_t>(TraceEventType::kTypeCount) ? kNames[i]

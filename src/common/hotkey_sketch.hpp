@@ -1,11 +1,9 @@
 // Space-Saving top-k sketch for hot-key telemetry (DESIGN.md §10).
 //
 // One sketch lives inside each QosTable shard and is fed from the decision
-// path: under shard-per-worker threading the shard owner is the only writer
-// (no lock), under shared-queue threading the caller already holds the shard
-// mutex. Readers (/statusz, /metrics) never take the shard mutex — each slot
-// carries its own seqlock version so a snapshot is safe against the owned
-// writers that bypass the mutex entirely.
+// path; the writer already holds the shard mutex. Readers (/statusz,
+// /metrics) never take the shard mutex — each slot carries its own seqlock
+// version so a snapshot is safe against a concurrent writer.
 //
 // Space-Saving semantics: a miss evicts the current minimum-count slot and
 // inherits its count as `overestimate`, so for any reported key

@@ -1,12 +1,13 @@
-// Bounded multi-producer/multi-consumer FIFO — the queue between the QoS
-// server's UDP listener thread and its worker threads (paper §III-C).
+// Bounded multi-producer/multi-consumer FIFOs.
 //
 // Two implementations:
 //  * MpmcQueue     — Vyukov bounded lock-free ring; non-blocking try_push /
-//                    try_pop for hot paths and benchmarks.
-//  * BlockingQueue — mutex+condvar wrapper with blocking pop, shutdown
-//                    support, and optional bounded capacity; what the server
-//                    runtime actually uses (workers sleep when idle).
+//                    try_pop.
+//  * BlockingQueue — mutex+condvar with blocking pop, shutdown support and
+//                    optional bounded capacity. The HTTP server, the thread
+//                    pool and WAL replication hand work over it. (The QoS
+//                    server's request FIFO is the kernel receive queue,
+//                    DESIGN.md §9.)
 #pragma once
 
 #include <atomic>
@@ -15,7 +16,6 @@
 #include <deque>
 #include <memory>
 #include <optional>
-#include <stdexcept>
 #include <utility>
 #include <vector>
 

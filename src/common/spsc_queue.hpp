@@ -1,6 +1,5 @@
-// Bounded single-producer/single-consumer ring buffer. Used on per-connection
-// paths where exactly one thread produces and one consumes (e.g. the HA
-// replication pipe in tests) — cheaper than MpmcQueue.
+// Bounded single-producer/single-consumer ring buffer, for a handoff where
+// exactly one thread produces and one consumes — cheaper than MpmcQueue.
 //
 // Concurrency (DESIGN.md §8): intentionally lock-free (two atomic indices,
 // acquire/release pairs); outside the lock-rank order because it can never

@@ -100,14 +100,7 @@ enum class LockRank : int {
                           // probe HTTP clients only; held while a probe RPC
                           // runs, which acquires kQueue inside HttpClient —
                           // hence below kQueue. Never touched by pick())
-  kQueue = 70,            // BlockingQueue::mu_ (fifo, http, pool, replication)
-  kWorkerPark = 72,       // QosServerNode per-worker park mu (leaf; guards
-                          // only the parked flag, never held over work)
-  kUringSubmit = 74,      // UdpSocket uring send-ring mu (leaf; serializes
-                          // batched sendmsg submissions — workers flush
-                          // replies concurrently while holding nothing, and
-                          // a shard-lock holder may flush, so this ranks
-                          // above kQosShard and kWorkerPark)
+  kQueue = 70,            // BlockingQueue::mu_ (http, pool, replication)
   kPeriodic = 80,         // PeriodicTask::mu_ (callback runs unlocked)
   kMetricsRegistry = 90,  // MetricsRegistry::mu_
   kFaultPoint = 94,       // testing::FaultInjector per-point mu. Leaf: fault

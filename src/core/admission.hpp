@@ -47,19 +47,6 @@ enum class RefillMode {
               // thread (§III-C); granularity studied in ablation A3
 };
 
-/// How a QoS server node schedules decisions onto worker threads. Lives in
-/// core (not server/) because the discrete-event simulator models the same
-/// two modes — Fig. 10–12 shapes can be reproduced per mode.
-enum class ThreadingMode {
-  /// The paper's §III-C architecture: one shared FIFO, any worker decides
-  /// any key under the key's shard mutex.
-  kSharedQueue,
-  /// Shared-nothing thread-per-core: the listener routes each key to the
-  /// worker owning its shard over an SPSC ring; decisions run mutex-free
-  /// via the ShardOwnerToken accessors; maintenance is enqueued to owners.
-  kShardPerWorker,
-};
-
 struct AdmissionConfig {
   std::size_t table_shards = 16;  // 1 reproduces the paper's single lock
   RefillMode refill_mode = RefillMode::kOnAccess;
@@ -106,33 +93,6 @@ class AdmissionController {
   /// persisted — the database has no row for them).
   std::size_t checkpoint_now(RuleSink& sink);
 
-  // ---- shard-per-worker (owner-token) variants -----------------------------
-  // Mirrors of the locked entry points above for ThreadingMode::
-  // kShardPerWorker: the caller (a worker thread) proves exclusive ownership
-  // of the key's shard with a ShardOwnerToken and supplies the hash it
-  // already computed on the dispatch path, so the warm-key decision runs
-  // with no mutex at all. Maintenance (`refill/sync/checkpoint_owned`)
-  // covers only the token's shards — each owner runs its own slice when the
-  // command arrives on its queue.
-
-  /// Mint the ownership capability for one worker (delegates to the table).
-  ShardOwnerToken claim_shards(std::size_t worker_index,
-                               std::size_t worker_count) const {
-    return table_.claim_shards(worker_index, worker_count);
-  }
-
-  JANUS_HOT_PATH Decision check_owned(const ShardOwnerToken& token,
-                                      std::string_view key, std::size_t hash,
-                                      std::uint32_t cost = 1);
-  JANUS_HOT_PATH Decision probe_owned(const ShardOwnerToken& token,
-                                      std::string_view key, std::size_t hash,
-                                      std::uint32_t cost = 1);
-  bool invalidate_owned(const ShardOwnerToken& token, std::string_view key,
-                        std::size_t hash);
-  void refill_owned(const ShardOwnerToken& token);
-  std::size_t sync_owned(const ShardOwnerToken& token);
-  std::size_t checkpoint_owned(const ShardOwnerToken& token, RuleSink& sink);
-
   /// Drop one key / all keys from the local table (admin, tests).
   bool invalidate(std::string_view key) { return table_.erase(key); }
   void invalidate_all() { table_.clear(); }
@@ -143,7 +103,7 @@ class AdmissionController {
   MetricsRegistry& metrics() { return metrics_; }
 
   /// Top-k hot keys by decision (or rejection) count, merged across shards.
-  /// Lock-free; callable from any thread in either threading mode.
+  /// Lock-free; callable from any thread.
   std::vector<HotKeyCount> hot_keys(bool by_rejects = false,
                                     std::size_t k = 16) const {
     return table_.hot_keys(by_rejects, k);
@@ -151,14 +111,10 @@ class AdmissionController {
 
  private:
   Decision decide(std::string_view key, std::uint32_t cost, bool consume);
-  Decision decide_owned(const ShardOwnerToken& token, std::string_view key,
-                        std::size_t hash, std::uint32_t cost, bool consume);
   QosEntry make_entry(std::string_view key, TimePoint now);
-  /// Sampled hot-key sketch note + flight-recorder admission event; shared
-  /// by both deciders (token == nullptr means shared-queue / locked mode).
+  /// Sampled hot-key sketch note + flight-recorder admission event.
   void note_decision_telemetry(std::string_view key, std::size_t hash,
-                               const Decision& d, TimePoint now,
-                               const ShardOwnerToken* token);
+                               const Decision& d, TimePoint now);
 
   Clock& clock_;
   RuleSource& source_;

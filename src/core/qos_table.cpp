@@ -73,8 +73,8 @@ std::vector<HotKeyCount> ShardedQosTable::hot_keys(bool by_rejects,
   std::vector<HotKeyCount> rows;
   rows.reserve(shards_.size() * HotKeySketch::kSlots);
   // No shard mutex: each slot's seqlock makes the per-shard snapshot safe
-  // even against owner-token writers that never take the mutex. Keys hash
-  // to exactly one shard, so the merge has no duplicates to fold.
+  // against a concurrent writer. Keys hash to exactly one shard, so the
+  // merge has no duplicates to fold.
   for (const auto& shard : shards_) {
     shard->hot_keys.snapshot(rows);
   }

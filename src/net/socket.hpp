@@ -9,7 +9,6 @@
 
 #include <netinet/in.h>
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -24,8 +23,8 @@
 // Batched datagram syscalls: recvmmsg/sendmmsg move a whole batch per kernel
 // crossing and exist on Linux (glibc/musl). Elsewhere the batch API below
 // transparently falls back to a recvfrom/sendto loop — same semantics, one
-// syscall per datagram. Tests force the fallback at runtime via
-// UdpSocket::set_batch_syscalls_enabled(false) so both paths run everywhere.
+// syscall per datagram. Tests force the fallback on a socket with
+// set_data_path(DataPath::kFallback) so both paths run everywhere.
 #if defined(__linux__)
 #define JANUS_HAVE_MMSG 1
 #else
@@ -33,10 +32,6 @@
 #endif
 
 namespace janus::net {
-
-namespace detail {
-struct UringState;  // socket.cpp: per-socket io_uring rings + stats
-}
 
 /// An IPv4 endpoint ("127.0.0.1", 8080).
 struct SockAddr {
@@ -117,11 +112,9 @@ class UdpSocket {
 
   /// Reusable scratch for recv_many: slot buffers and address storage are
   /// allocated once here and reused across calls, so a steady-state
-  /// listener performs no per-wakeup heap allocation inside the socket
-  /// layer. Results are views into this batch's arena (mmsg/fallback
-  /// providers) or into the socket's registered receive buffers (uring
-  /// provider) — valid until the next recv_many call on this batch or on
-  /// the socket that filled it, whichever comes first.
+  /// worker performs no per-wakeup heap allocation inside the socket layer.
+  /// Results are views into this batch's arena, valid until the next
+  /// recv_many call on this batch.
   class RecvBatch {
    public:
     explicit RecvBatch(std::size_t capacity,
@@ -135,12 +128,6 @@ class UdpSocket {
 
     /// Per-slot payload capacity this batch was built with.
     std::size_t slot_bytes() const { return slot_bytes_; }
-    /// Providers revalidate batch geometry before reuse: a batch built with
-    /// smaller slots than the provider's per-datagram payload capacity is
-    /// grown in place (results from any earlier call are discarded — the
-    /// batch must be between recv_many calls, asserted via size()==0 inside
-    /// recv_many). Growing is one-way; a larger batch is never shrunk.
-    void ensure_slot_bytes(std::size_t min_slot_bytes);
 
    private:
     friend class UdpSocket;
@@ -165,46 +152,23 @@ class UdpSocket {
 
   /// Batched-I/O provider for recv_many/send_many (DESIGN.md §13).
   ///
-  ///   kAuto     — mmsg when available and the process-wide batch-syscall
-  ///               toggle is on, else the recvfrom/sendto fallback. The
-  ///               default: existing callers see no behavior change.
+  ///   kAuto     — mmsg where available, else the recvfrom/sendto fallback.
+  ///               The default.
   ///   kFallback — force the recvfrom/sendto loops.
-  ///   kMmsg     — force recvmmsg/sendmmsg.
-  ///   kUring    — io_uring: multishot recvmsg feeding RecvBatch from
-  ///               registered receive buffers (zero per-datagram syscalls,
-  ///               zero copies into the batch), batched sendmsg
-  ///               submissions for send_many. Requires kernel support —
-  ///               see set_data_path.
-  enum class DataPath { kAuto = 0, kFallback, kMmsg, kUring };
+  ///   kMmsg     — force recvmmsg/sendmmsg (the fallback where the platform
+  ///               has none).
+  enum class DataPath { kAuto = 0, kFallback, kMmsg };
 
-  /// Select this socket's provider. Returns false — leaving the provider
-  /// unchanged — when `path` is kUring and the end-to-end capability probe
-  /// says the kernel cannot run it; callers treat false as "degraded to
-  /// the mmsg path". Not thread-safe with concurrent recv/send on the same
-  /// socket: switch before the I/O threads start.
-  bool set_data_path(DataPath path);
+  /// Select this socket's provider. Not thread-safe with concurrent
+  /// recv/send on the same socket: switch before the I/O threads start.
+  void set_data_path(DataPath path) { data_path_ = path; }
   DataPath data_path() const { return data_path_; }
-  /// The provider recv_many/send_many will actually use right now (kAuto
-  /// resolved to kMmsg or kFallback; kUring only when active).
+  /// The provider recv_many/send_many actually use (kAuto and kMmsg
+  /// resolved to kMmsg or kFallback).
   DataPath resolved_data_path() const;
 
-  /// Process-wide result of the io_uring end-to-end capability probe.
-  static bool uring_supported();
   static const char* data_path_name(DataPath path);
   static std::optional<DataPath> data_path_from_name(std::string_view name);
-
-  /// Uring provider counters (all zero when the provider never activated).
-  /// Snapshot is monotonic; safe to poll from an admin thread.
-  struct UringStats {
-    std::uint64_t recv_batches = 0;    // recv_many calls served by uring
-    std::uint64_t recv_datagrams = 0;  // datagrams delivered via uring
-    std::uint64_t send_batches = 0;    // send_many flushes via uring
-    std::uint64_t send_datagrams = 0;  // datagrams submitted via uring
-    std::uint64_t rearms = 0;          // multishot recvmsg (re)arms
-    std::uint64_t buf_recycles = 0;    // receive buffers returned to kernel
-    std::uint64_t send_errors = 0;     // per-datagram sendmsg CQE failures
-  };
-  UringStats uring_stats() const;
 
   /// Wait up to `timeout` for readability, then drain up to
   /// batch.capacity() datagrams in one recvmmsg (or a non-blocking recvfrom
@@ -223,33 +187,15 @@ class UdpSocket {
   /// fire independently for every datagram in the batch.
   Status send_many(std::span<const OutDatagram> batch);
 
-  /// Test hook: force the single-syscall fallback paths (recvfrom/sendto
-  /// loops) even where recvmmsg/sendmmsg exist, so the chaos suite proves
-  /// both paths behave identically. Process-wide; defaults to enabled.
-  static void set_batch_syscalls_enabled(bool enabled);
-  static bool batch_syscalls_enabled();
-
   /// Local address after bind (resolves ephemeral ports).
   Result<SockAddr> local_addr() const;
 
   int fd() const { return fd_.get(); }
 
-  // Out of line: detail::UringState is incomplete here.
-  ~UdpSocket();
-  UdpSocket(UdpSocket&& other) noexcept;
-  UdpSocket& operator=(UdpSocket&& other) noexcept;
-  UdpSocket(const UdpSocket&) = delete;
-  UdpSocket& operator=(const UdpSocket&) = delete;
-
  private:
-  explicit UdpSocket(Fd fd);  // out of line: members need complete UringState
-  Result<std::size_t> recv_many_uring(RecvBatch& batch, Duration timeout);
-  Status send_many_uring(std::span<const OutDatagram> batch);
-  void arm_uring_recv();
+  explicit UdpSocket(Fd fd) : fd_(std::move(fd)) {}
   Fd fd_;
   DataPath data_path_ = DataPath::kAuto;
-  std::unique_ptr<detail::UringState> uring_;  // non-null iff kUring active
-  static std::atomic<bool> batch_syscalls_enabled_;
 };
 
 /// Blocking TCP connection with poll-based timeouts.

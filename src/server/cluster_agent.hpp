@@ -5,8 +5,7 @@
 //   1. flip the node's epoch FIRST — stale-epoch frames start bouncing the
 //      instant a newer map exists, before any migration work;
 //   2. extract every entry this node no longer owns under the new map
-//      (grouped by new owner, honoring the threading mode's ownership
-//      discipline);
+//      (grouped by new owner, under the table's shard locks);
 //   3. stream the extracted entries to their new owners as MigrationBatch
 //      frames over the same control port, each acked by its receiver;
 //   4. ack the coordinator — the hand-off is done when the ack lands.

@@ -290,15 +290,10 @@ void SimDeployment::server_receive(SimServer& server,
                       std::function<void()>{});
 
   SimServer* sp = &server;
-  // The serialized table section exists only in shared-queue mode; the
-  // shard-per-worker decision path holds no lock (owner-token accessors),
-  // so its whole cost scales with worker count.
-  const Duration serial =
-      config_.threading == core::ThreadingMode::kShardPerWorker
-          ? Duration{0}
-          : c.server_lock;
+  // Each decision pays CostModel::server_lock as *serial* work: the paper's
+  // synchronized table section, the Fig. 10 ceiling.
   const bool accepted = server.node->submit(
-      c.server_cpu_worker, serial, [this, ex, sp] {
+      c.server_cpu_worker, c.server_lock, [this, ex, sp] {
         ++sp->decisions_window;
         m_answered_.inc();
         // The real admission controller decides, on virtual time. A retry

@@ -80,13 +80,6 @@ struct DeploymentConfig {
   Duration dns_ttl = seconds(30);
   CostModel costs;
   core::AdmissionConfig admission;  // default rule, shards, refill mode
-  /// QoS-server threading mode, mirroring server::QosServerConfig: in
-  /// kSharedQueue each decision pays CostModel::server_lock as *serial*
-  /// work (the paper's synchronized table section — the Fig. 10 ceiling);
-  /// in kShardPerWorker the table section runs lock-free on the owning
-  /// worker, so that cost parallelizes with the rest of the decision and
-  /// the serial term drops to zero.
-  core::ThreadingMode threading = core::ThreadingMode::kSharedQueue;
   std::uint64_t seed = 42;
   /// Gateway-mode routing policy, mirroring lb::GatewayConfig::policy
   /// (ignored in kDns mode). kPrequal runs the *real* lb::PrequalPicker on

@@ -196,7 +196,7 @@ Result<QosRequestView> decode_request_view(
 Result<QosRequest> decode_request(std::span<const std::uint8_t> data) {
   auto view = decode_request_view(data);
   if (!view.ok()) return Error(view.error().message);
-  return view.value().to_owned();
+  return view.value().to_request();
 }
 
 Result<QosResponse> decode_response(std::span<const std::uint8_t> data) {

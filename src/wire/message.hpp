@@ -58,7 +58,7 @@ struct QosRequestView {
   std::uint64_t epoch = 0;
 
   /// Materialize an owning QosRequest (non-hot paths, tests).
-  QosRequest to_owned() const {
+  QosRequest to_request() const {
     return QosRequest{.request_id = request_id,
                       .type = type,
                       .cost = cost,

@@ -33,7 +33,6 @@ class ChaosStackTest : public ::testing::Test {
 
     server::QosServerConfig scfg;
     scfg.worker_threads = 2;
-    scfg.threading = threading_;
     scfg.data_path = data_path_;
     scfg.sync_interval = Duration{0};
     scfg.checkpoint_interval = Duration{0};
@@ -92,15 +91,11 @@ class ChaosStackTest : public ::testing::Test {
     return resp.ok() ? resp.value().body : std::string();
   }
 
-  /// QoS server threading mode the stack comes up in. Subclasses set this
+  /// Batched-I/O provider for the QoS server's socket. Subclasses set this
   /// before ChaosStackTest::SetUp() runs (it is baked into the server at
-  /// start); every invariant in the suite must hold in either mode.
-  core::ThreadingMode threading_ = core::ThreadingMode::kSharedQueue;
-  /// Batched-I/O provider for the QoS server's listener socket; subclasses
-  /// set before SetUp() (baked into the server at start, like threading_).
-  /// Skip uring instantiations when UdpSocket::uring_supported() is false.
+  /// start).
   net::UdpSocket::DataPath data_path_ = net::UdpSocket::DataPath::kAuto;
-  /// Routing topology; subclasses set before SetUp(), like threading_.
+  /// Routing topology; subclasses set before SetUp(), like data_path_.
   Topology topology_ = Topology::kSingleProcess;
   /// Gateway routing policy; subclasses set before SetUp(). Every chaos
   /// invariant — including PR 2's per-request fault semantics — must hold

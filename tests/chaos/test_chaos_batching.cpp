@@ -3,14 +3,15 @@
 // in recvmmsg/sendmmsg bursts — drops are still consulted once per datagram,
 // retry accounting still counts attempts not syscalls, and quota is still
 // never over-admitted under loss. The whole suite runs once per data-path
-// provider (fallback loops, recvmmsg/sendmmsg, io_uring when the kernel
-// supports it), proving every provider is observably identical.
+// provider (fallback loops, recvmmsg/sendmmsg), proving both providers are
+// observably identical.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "../server/server_model.hpp"
 #include "chaos_stack.hpp"
 #include "net/http.hpp"
 #include "router/udp_qos_client.hpp"
@@ -23,26 +24,17 @@ using testing::FaultInjector;
 using testing::FaultPoint;
 using testing::ScopedFault;
 
-/// Value-parameterized over (data-path provider, server threading mode): the
-/// server's listener socket runs the fallback loops, recvmmsg/sendmmsg, or
-/// io_uring; the server comes up in kSharedQueue or kShardPerWorker (uring +
-/// kShardPerWorker is the fused run-to-completion mode, DESIGN.md §13). All
-/// combinations must be observably identical — the provider changes syscall
-/// counts and buffer ownership, the threading mode changes scheduling and
-/// locking, neither may change fault semantics. The uring instantiations
-/// skip cleanly when the kernel capability probe fails.
+/// Value-parameterized over (data-path provider, server execution model):
+/// the server's socket runs the fallback loops or recvmmsg/sendmmsg. Both
+/// must be observably identical — the provider changes syscall counts, never
+/// fault semantics. The server has one execution model (server_model.hpp).
 class BatchedChaosTest
     : public ChaosStackTest,
       public ::testing::WithParamInterface<
-          std::tuple<net::UdpSocket::DataPath, core::ThreadingMode>> {
+          std::tuple<net::UdpSocket::DataPath, testing::ServerModel>> {
  protected:
   void SetUp() override {
     data_path_ = std::get<0>(GetParam());
-    if (data_path_ == net::UdpSocket::DataPath::kUring &&
-        !net::UdpSocket::uring_supported()) {
-      GTEST_SKIP() << "kernel lacks usable io_uring (capability probe failed)";
-    }
-    threading_ = std::get<1>(GetParam());
     ChaosStackTest::SetUp();
   }
 };
@@ -220,23 +212,15 @@ INSTANTIATE_TEST_SUITE_P(
     ProviderAndThreadingModes, BatchedChaosTest,
     ::testing::Combine(
         ::testing::Values(net::UdpSocket::DataPath::kFallback,
-                          net::UdpSocket::DataPath::kMmsg,
-                          net::UdpSocket::DataPath::kUring),
-        ::testing::Values(core::ThreadingMode::kSharedQueue,
-                          core::ThreadingMode::kShardPerWorker)),
+                          net::UdpSocket::DataPath::kMmsg),
+        testing::AllServerModels()),
     [](const ::testing::TestParamInfo<
-        std::tuple<net::UdpSocket::DataPath, core::ThreadingMode>>& tpi) {
-      std::string name;
-      switch (std::get<0>(tpi.param)) {
-        case net::UdpSocket::DataPath::kFallback: name = "FallbackLoops"; break;
-        case net::UdpSocket::DataPath::kMmsg: name = "BatchedSyscalls"; break;
-        case net::UdpSocket::DataPath::kUring: name = "IoUring"; break;
-        default: name = "Auto"; break;
-      }
-      name += std::get<1>(tpi.param) == core::ThreadingMode::kShardPerWorker
-                  ? "ShardPerWorker"
-                  : "SharedQueue";
-      return name;
+        std::tuple<net::UdpSocket::DataPath, testing::ServerModel>>& tpi) {
+      std::string name =
+          std::get<0>(tpi.param) == net::UdpSocket::DataPath::kFallback
+              ? "FallbackLoops"
+              : "BatchedSyscalls";
+      return name + testing::server_model_name(std::get<1>(tpi.param));
     });
 
 }  // namespace

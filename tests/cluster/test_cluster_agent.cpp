@@ -18,6 +18,7 @@
 #include "router/udp_qos_client.hpp"
 #include "server/cluster_agent.hpp"
 #include "server/qos_server_node.hpp"
+#include "../server/server_model.hpp"
 #include "testing/fault_injector.hpp"
 #include "wire/cluster_codec.hpp"
 
@@ -61,10 +62,9 @@ class ClusterAgentTest : public ::testing::Test {
     testing::FaultInjector::instance().disarm_all();
   }
 
-  NodeBundle& start_node(core::ThreadingMode mode, Duration window = millis(250)) {
+  NodeBundle& start_node(Duration window = millis(250)) {
     QosServerConfig cfg;
     cfg.worker_threads = 2;
-    cfg.threading = mode;
     cfg.sync_interval = Duration{0};
     cfg.checkpoint_interval = Duration{0};
     auto node = QosServerNode::start({"127.0.0.1", 0}, *store_, cfg);
@@ -131,8 +131,8 @@ class ClusterAgentTest : public ::testing::Test {
 };
 
 TEST_F(ClusterAgentTest, BootstrapSetsEpochOnEveryMember) {
-  NodeBundle& a = start_node(core::ThreadingMode::kShardPerWorker);
-  NodeBundle& b = start_node(core::ThreadingMode::kShardPerWorker);
+  NodeBundle& a = start_node();
+  NodeBundle& b = start_node();
   start_coordinator({a.spec("qos-0"), b.spec("qos-1")});
   if (HasFatalFailure()) return;
   EXPECT_EQ(holder_.epoch(), 1u);
@@ -143,7 +143,7 @@ TEST_F(ClusterAgentTest, BootstrapSetsEpochOnEveryMember) {
 }
 
 TEST_F(ClusterAgentTest, StaleEpochFrameIsNackedWithCurrentEpoch) {
-  NodeBundle& a = start_node(core::ThreadingMode::kShardPerWorker);
+  NodeBundle& a = start_node();
   start_coordinator({a.spec("qos-0")});
   if (HasFatalFailure()) return;
   // A frame stamped with a bygone epoch bounces with the live one attached.
@@ -157,14 +157,16 @@ TEST_F(ClusterAgentTest, StaleEpochFrameIsNackedWithCurrentEpoch) {
   EXPECT_TRUE(ok.allowed);
 }
 
+/// Migration behaviors, run once per server execution model (see
+/// server_model.hpp).
 class ClusterAgentModeTest
     : public ClusterAgentTest,
-      public ::testing::WithParamInterface<core::ThreadingMode> {};
+      public ::testing::WithParamInterface<testing::ServerModel> {};
 
 TEST_P(ClusterAgentModeTest, ReshardMigratesSpentCreditExactlyOnce) {
-  NodeBundle& a = start_node(GetParam());
-  NodeBundle& b = start_node(GetParam());
-  NodeBundle& c = start_node(GetParam());
+  NodeBundle& a = start_node();
+  NodeBundle& b = start_node();
+  NodeBundle& c = start_node();
   start_coordinator({a.spec("qos-0"), b.spec("qos-1")});
   if (HasFatalFailure()) return;
 
@@ -198,8 +200,8 @@ TEST_P(ClusterAgentModeTest, ReshardMigratesSpentCreditExactlyOnce) {
 }
 
 TEST_P(ClusterAgentModeTest, LeavingMemberStreamsEverythingAway) {
-  NodeBundle& a = start_node(GetParam());
-  NodeBundle& b = start_node(GetParam());
+  NodeBundle& a = start_node();
+  NodeBundle& b = start_node();
   start_coordinator({a.spec("qos-0"), b.spec("qos-1")});
   if (HasFatalFailure()) return;
 
@@ -225,8 +227,8 @@ TEST_P(ClusterAgentModeTest, LeavingMemberStreamsEverythingAway) {
 TEST_P(ClusterAgentModeTest, StalledMigrationDefersInsteadOfOverAdmitting) {
   // cluster.migrate.stall delays every outgoing batch by 150ms — inside the
   // 400ms inbound window, so deferral (not fresh buckets) bridges the gap.
-  NodeBundle& a = start_node(GetParam(), /*window=*/millis(400));
-  NodeBundle& b = start_node(GetParam(), /*window=*/millis(400));
+  NodeBundle& a = start_node(/*window=*/millis(400));
+  NodeBundle& b = start_node(/*window=*/millis(400));
   start_coordinator({a.spec("qos-0")});
   if (HasFatalFailure()) return;
 
@@ -254,14 +256,8 @@ TEST_P(ClusterAgentModeTest, StalledMigrationDefersInsteadOfOverAdmitting) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Modes, ClusterAgentModeTest,
-    ::testing::Values(core::ThreadingMode::kSharedQueue,
-                      core::ThreadingMode::kShardPerWorker),
-    [](const auto& info) {
-      return info.param == core::ThreadingMode::kSharedQueue
-                 ? "SharedQueue"
-                 : "ShardPerWorker";
-    });
+    Modes, ClusterAgentModeTest, testing::AllServerModels(),
+    [](const auto& tpi) { return testing::server_model_name(tpi.param); });
 
 }  // namespace
 }  // namespace janus::server

@@ -9,7 +9,7 @@
 //   Round 1  SIGKILL the master mid-load; BFD detects, the coordinator
 //            promotes the HA standby in place; the standby's checkpointed
 //            credit is preserved exactly.
-//   Round 2  Reshard N -> N+1 -> N mid-load (shard-per-worker fast path);
+//   Round 2  Reshard N -> N+1 -> N mid-load;
 //            bucket state follows the keys through two migrations.
 //   Round 3  BFD partition (cluster.bfd.drop) without killing the master:
 //            the standby is promoted, the old master never sees another
@@ -179,15 +179,13 @@ TEST_F(ClusterChaosTest, Round1SigkillMasterPromotesStandbyWithExactCredit) {
   testing::FaultInjector::instance().seed(kChaosSeed + 1);
 
   // Master qos-0 snapshots its table over HA every 20ms; the standby pulls
-  // and restores. Both are shared-queue (the HA walk needs locked access).
+  // and restores.
   ServerProcess& master = spawn_server(
-      "qos-0", {"--threading", "shared-queue", "--bfd-listen", "127.0.0.1:0",
-                "--ha-listen", "127.0.0.1:0"});
-  ServerProcess& peer = spawn_server("qos-1", {"--threading", "shared-queue"});
+      "qos-0", {"--bfd-listen", "127.0.0.1:0", "--ha-listen", "127.0.0.1:0"});
+  ServerProcess& peer = spawn_server("qos-1", {});
   ServerProcess& standby = spawn_server(
       "qos-0-standby",
-      {"--threading", "shared-queue", "--ha-master",
-       master.ha.to_string(), "--ha-ms", "20"});
+      {"--ha-master", master.ha.to_string(), "--ha-ms", "20"});
   ASSERT_FALSE(::testing::Test::HasFailure());
 
   start_router();
@@ -245,14 +243,11 @@ TEST_F(ClusterChaosTest, Round1SigkillMasterPromotesStandbyWithExactCredit) {
 TEST_F(ClusterChaosTest, Round2ReshardMidLoadNeverOverAdmits) {
   testing::FaultInjector::instance().seed(kChaosSeed + 2);
 
-  // Shard-per-worker servers: the reshard must ride the maintenance-command
-  // path and the epoch gate must hold on the zero-alloc fast path.
-  ServerProcess& s0 = spawn_server("qos-0", {"--threading", "shard-per-worker",
-                                             "--migrate-window-ms", "500"});
-  ServerProcess& s1 = spawn_server("qos-1", {"--threading", "shard-per-worker",
-                                             "--migrate-window-ms", "500"});
-  ServerProcess& s2 = spawn_server("qos-2", {"--threading", "shard-per-worker",
-                                             "--migrate-window-ms", "500"});
+  // The reshard runs beside live workers, and the epoch gate must hold on
+  // the zero-alloc fast path.
+  ServerProcess& s0 = spawn_server("qos-0", {"--migrate-window-ms", "500"});
+  ServerProcess& s1 = spawn_server("qos-1", {"--migrate-window-ms", "500"});
+  ServerProcess& s2 = spawn_server("qos-2", {"--migrate-window-ms", "500"});
   ASSERT_FALSE(::testing::Test::HasFailure());
 
   start_router();
@@ -325,13 +320,11 @@ TEST_F(ClusterChaosTest, Round3BfdPartitionPromotesStandbyWithoutDoubleSpend) {
   testing::FaultInjector::instance().seed(kChaosSeed + 3);
 
   ServerProcess& master = spawn_server(
-      "qos-0", {"--threading", "shared-queue", "--bfd-listen", "127.0.0.1:0",
-                "--ha-listen", "127.0.0.1:0"});
-  ServerProcess& peer = spawn_server("qos-1", {"--threading", "shared-queue"});
+      "qos-0", {"--bfd-listen", "127.0.0.1:0", "--ha-listen", "127.0.0.1:0"});
+  ServerProcess& peer = spawn_server("qos-1", {});
   ServerProcess& standby = spawn_server(
       "qos-0-standby",
-      {"--threading", "shared-queue", "--ha-master",
-       master.ha.to_string(), "--ha-ms", "20"});
+      {"--ha-master", master.ha.to_string(), "--ha-ms", "20"});
   ASSERT_FALSE(::testing::Test::HasFailure());
 
   start_router();

@@ -80,7 +80,7 @@ TEST(FlightRecorderTest, RingWrapKeepsMostRecentEvents) {
 
   const std::size_t total = FlightRecorder::kRingCapacity + 100;
   for (std::size_t i = 0; i < total; ++i) {
-    FlightRecorder::record(TraceEventType::kQueueDepth, TraceStage::kAdmission,
+    FlightRecorder::record(TraceEventType::kWatchdogStall, TraceStage::kAdmission,
                            0xABCD, i, i);
   }
 
@@ -132,8 +132,8 @@ TEST(FlightRecorderTest, ConcurrentSnapshotWhileWritingIsSafe) {
     writers.emplace_back([&stop, w] {
       std::uint64_t i = 0;
       while (!stop.load(std::memory_order_relaxed)) {
-        FlightRecorder::record(TraceEventType::kQueueDepth,
-                               TraceStage::kServerListener,
+        FlightRecorder::record(TraceEventType::kWatchdogStall,
+                               TraceStage::kServerWorker,
                                0xF00D0000u + static_cast<std::uint64_t>(w),
                                i, i);
         ++i;
@@ -207,7 +207,7 @@ TEST(FlightRecorderTest, RendererCarriesTimestampForwardForClockless) {
   std::vector<RingSnapshot> rings(1);
   rings[0].ring_id = 0;
   rings[0].events = {
-      {0, 5000, 0, 0, TraceEventType::kQueueDepth, TraceStage::kAdmission},
+      {0, 5000, 0, 0, TraceEventType::kWatchdogStall, TraceStage::kAdmission},
       // Fault fires pass ts=0; the renderer reuses the previous timestamp.
       {1, 0, 0, 2, TraceEventType::kFault, TraceStage::kFault},
   };
@@ -256,7 +256,7 @@ TEST(FlightRecorderTest, LabelNamesThisThreadsRing) {
   FlightRecorder& fr = FlightRecorder::instance();
   std::thread t([] {
     FlightRecorder::label_current_thread("test.labeled.thread");
-    FlightRecorder::record(TraceEventType::kQueueDepth, TraceStage::kWatchdog,
+    FlightRecorder::record(TraceEventType::kWatchdogStall, TraceStage::kWatchdog,
                            0x5AB, 0, 1);
   });
   t.join();

@@ -29,7 +29,6 @@ class ObservabilityTest : public ::testing::Test {
       cfg.worker_threads = 2;
       cfg.sync_interval = Duration{0};
       cfg.checkpoint_interval = Duration{0};
-      cfg.threading = threading_;
       // Every request is "slow" relative to a zero threshold, so the
       // exemplar assertions below do not depend on real latency.
       cfg.slow_exemplar_us = 0;
@@ -107,7 +106,6 @@ class ObservabilityTest : public ::testing::Test {
     }
   }
 
-  core::ThreadingMode threading_ = core::ThreadingMode::kSharedQueue;
   db::Database db_;
   std::unique_ptr<db::RuleStore> store_;
   std::vector<std::unique_ptr<server::QosServerNode>> servers_;
@@ -140,7 +138,7 @@ TEST_F(ObservabilityTest, EveryLayerExposesItsHistograms) {
                 std::string::npos;
     saw_service |= m.find("# TYPE janus_server_service_us histogram") !=
                    std::string::npos;
-    saw_dropped |= m.find("janus_server_fifo_dropped{") != std::string::npos;
+    saw_dropped |= m.find("janus_server_rx_dropped{") != std::string::npos;
     const std::string needle =
         "janus_server_answered{node=\"qos-" + std::to_string(i) + "\"} ";
     auto pos = m.find(needle);
@@ -305,44 +303,6 @@ TEST_F(ObservabilityTest, TraceExportToolMergesNodes) {
   EXPECT_NE(out.find("\"pid\":3"), std::string::npos);
   EXPECT_NE(out.find("\"name\":\"server.worker\""), std::string::npos);
 #endif
-}
-
-/// Same pipeline, shard-per-worker threading: the traced-request
-/// reconstruction and telemetry surfaces must hold with mutex-free owned
-/// decisions and SPSC dispatch.
-class ObservabilityShardedTest : public ObservabilityTest {
- protected:
-  ObservabilityShardedTest() {
-    threading_ = core::ThreadingMode::kShardPerWorker;
-  }
-};
-
-TEST_F(ObservabilityShardedTest, TracezReconstructsRequestAcrossAllStages) {
-  const std::string trace_id = "trace-e2e-sharded";
-  drive_traced(3, trace_id);
-
-  const std::string json =
-      scrape(server_admins_[0], "/tracez?trace=" + trace_id);
-  std::string err;
-  ASSERT_TRUE(json_lint::json_syntax_ok(json, &err)) << err;
-  EXPECT_NE(json.find("\"name\":\"gateway\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"router\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"router.udp\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"server.worker\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-}
-
-TEST_F(ObservabilityShardedTest, WorkerQueueRejectCountersExposed) {
-  drive_traffic(10);
-  for (const auto& addr : server_admins_) {
-    const std::string m = scrape(addr, "/metrics");
-    // Per-worker reject counters exist (and are zero in this gentle test);
-    // depth gauges rode in with PR 5.
-    EXPECT_NE(m.find("janus_server_worker_queue_reject_w0{"),
-              std::string::npos);
-    EXPECT_NE(m.find("janus_server_worker_queue_reject_w1{"),
-              std::string::npos);
-  }
 }
 
 }  // namespace

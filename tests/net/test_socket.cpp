@@ -150,13 +150,6 @@ TEST(UdpSocketTest, DatagramBoundariesPreserved) {
   EXPECT_EQ(second.value()->data.size(), 6u);
 }
 
-/// Runs the body with the recvmmsg/sendmmsg fast path disabled, restoring
-/// it afterwards — the fallback loop must be observably identical.
-struct ScopedBatchSyscallsDisabled {
-  ScopedBatchSyscallsDisabled() { UdpSocket::set_batch_syscalls_enabled(false); }
-  ~ScopedBatchSyscallsDisabled() { UdpSocket::set_batch_syscalls_enabled(true); }
-};
-
 std::multiset<std::string> recv_all(UdpSocket& sock, std::size_t expect) {
   UdpSocket::RecvBatch batch(8);
   std::multiset<std::string> got;
@@ -175,26 +168,17 @@ std::multiset<std::string> recv_all(UdpSocket& sock, std::size_t expect) {
 
 // ---------------------------------------------------------------------------
 // Provider-parameterized batch suite: every batched-I/O behavior below runs
-// once per data-path provider (fallback loop, recvmmsg/sendmmsg, io_uring).
-// The uring instance skips cleanly when the end-to-end capability probe says
-// the kernel cannot run it (DESIGN.md §13).
+// once per data-path provider (fallback loop, recvmmsg/sendmmsg).
 // ---------------------------------------------------------------------------
 class UdpSocketProviderTest
     : public ::testing::TestWithParam<UdpSocket::DataPath> {
  protected:
-  void SetUp() override {
-    if (GetParam() == UdpSocket::DataPath::kUring &&
-        !UdpSocket::uring_supported()) {
-      GTEST_SKIP() << "kernel lacks usable io_uring (capability probe failed)";
-    }
-  }
-
   /// Bound socket running this instance's provider.
   UdpSocket make_server() {
     auto sock = UdpSocket::bind({"127.0.0.1", 0});
     EXPECT_TRUE(sock.ok());
     UdpSocket server = std::move(sock).take();
-    EXPECT_TRUE(server.set_data_path(GetParam()));
+    server.set_data_path(GetParam());
     EXPECT_EQ(server.resolved_data_path(), GetParam());
     return server;
   }
@@ -204,7 +188,7 @@ class UdpSocketProviderTest
     auto sock = UdpSocket::create();
     EXPECT_TRUE(sock.ok());
     UdpSocket client = std::move(sock).take();
-    EXPECT_TRUE(client.set_data_path(GetParam()));
+    client.set_data_path(GetParam());
     return client;
   }
 };
@@ -258,11 +242,7 @@ TEST_P(UdpSocketProviderTest, RecvManyTimesOutWithZero) {
 TEST_P(UdpSocketProviderTest, BlockingRecvManyWaitsForWorkThenShutdown) {
   // timeout < 0 blocks in the receive syscall itself. Datagrams queued
   // before shutdown_read() are still delivered; after that a blocked (or
-  // later) call returns 0 at once. The uring provider's single-consumer
-  // ring is never shut down this way (the fused listener polls stopping_).
-  if (GetParam() == UdpSocket::DataPath::kUring) {
-    GTEST_SKIP() << "shutdown wake-up is an mmsg/fallback contract";
-  }
+  // later) call returns 0 at once.
   UdpSocket server = make_server();
   auto addr = server.local_addr().value();
   auto client = UdpSocket::create();
@@ -295,8 +275,7 @@ TEST_P(UdpSocketProviderTest, BlockingRecvManyWaitsForWorkThenShutdown) {
 }
 
 TEST_P(UdpSocketProviderTest, SingleRecvRoutesThroughProvider) {
-  // recv() must keep working whatever provider the socket runs — the uring
-  // provider routes it through a one-slot batch internally.
+  // recv() must keep working whatever provider the socket runs.
   UdpSocket server = make_server();
   auto addr = server.local_addr().value();
   auto client = UdpSocket::create();
@@ -345,11 +324,8 @@ TEST_P(UdpSocketProviderTest, EintrMidBatchReturnsDrainedDatagrams) {
 }
 
 TEST_P(UdpSocketProviderTest, SmallSlotBatchIsRevalidatedOrTruncates) {
-  // A batch built with tiny slots reused against a provider whose
-  // per-datagram payload capacity is larger: the uring provider grows the
-  // batch geometry in place (its results alias kRecvSlotBytes registered
-  // buffers), while the copying providers keep the caller's slot size and
-  // drop oversized datagrams as truncated.
+  // A batch built with tiny slots keeps the caller's slot size: every
+  // provider drops a datagram longer than a slot as truncated.
   UdpSocket server = make_server();
   auto addr = server.local_addr().value();
   auto client = UdpSocket::create();
@@ -361,34 +337,28 @@ TEST_P(UdpSocketProviderTest, SmallSlotBatchIsRevalidatedOrTruncates) {
   ASSERT_EQ(batch.slot_bytes(), 16u);
   auto n = server.recv_many(batch, millis(300));
   ASSERT_TRUE(n.ok());
-  if (GetParam() == UdpSocket::DataPath::kUring) {
-    EXPECT_EQ(batch.slot_bytes(), UdpSocket::kRecvSlotBytes);
-    ASSERT_EQ(n.value(), 1u);
-    EXPECT_EQ(batch.data(0).size(), big.size());
-  } else {
-    EXPECT_EQ(batch.slot_bytes(), 16u);
-    EXPECT_EQ(n.value(), 0u);  // truncated datagram dropped
-  }
+  EXPECT_EQ(batch.slot_bytes(), 16u);
+  EXPECT_EQ(n.value(), 0u);  // truncated datagram dropped
 }
 
 INSTANTIATE_TEST_SUITE_P(
     DataPaths, UdpSocketProviderTest,
     ::testing::Values(UdpSocket::DataPath::kFallback,
-                      UdpSocket::DataPath::kMmsg,
-                      UdpSocket::DataPath::kUring),
+                      UdpSocket::DataPath::kMmsg),
     [](const ::testing::TestParamInfo<UdpSocket::DataPath>& info) {
       return UdpSocket::data_path_name(info.param);
     });
 
 TEST(UdpSocketBatchTest, FallbackPathMatchesBatchSyscalls) {
-  // Same exchange as above, with recvmmsg/sendmmsg force-disabled: the
-  // per-datagram fallback loops must deliver identical results.
-  ScopedBatchSyscallsDisabled fallback;
+  // The same exchange on sockets forced onto the fallback provider: the
+  // per-datagram recvfrom/sendto loops must deliver identical results.
   auto server = UdpSocket::bind({"127.0.0.1", 0});
   ASSERT_TRUE(server.ok());
+  server.value().set_data_path(UdpSocket::DataPath::kFallback);
   auto addr = server.value().local_addr().value();
   auto client = UdpSocket::create();
   ASSERT_TRUE(client.ok());
+  client.value().set_data_path(UdpSocket::DataPath::kFallback);
 
   const std::multiset<std::string> payloads = {"w", "xx", "yyy"};
   std::vector<std::string> frames(payloads.begin(), payloads.end());
@@ -410,38 +380,6 @@ TEST(UdpSocketBatchTest, SendManyEmptyBatchIsNoop) {
   auto sock = UdpSocket::create();
   ASSERT_TRUE(sock.ok());
   EXPECT_TRUE(sock.value().send_many({}).ok());
-}
-
-TEST(UdpSocketBatchTest, EnsureSlotBytesGrowsOneWay) {
-  UdpSocket::RecvBatch batch(4, 64);
-  EXPECT_EQ(batch.slot_bytes(), 64u);
-  batch.ensure_slot_bytes(256);
-  EXPECT_EQ(batch.slot_bytes(), 256u);
-  // Shrinking is never applied — geometry grows one-way.
-  batch.ensure_slot_bytes(32);
-  EXPECT_EQ(batch.slot_bytes(), 256u);
-  // No-op when already large enough.
-  batch.ensure_slot_bytes(256);
-  EXPECT_EQ(batch.slot_bytes(), 256u);
-}
-
-TEST(UdpSocketBatchTest, EnsureSlotBytesPreservesBatchUsability) {
-  // After a grow, the batch must still receive correctly — the arena and
-  // result vectors are re-derived from the new geometry.
-  auto server = UdpSocket::bind({"127.0.0.1", 0});
-  ASSERT_TRUE(server.ok());
-  auto addr = server.value().local_addr().value();
-  auto client = UdpSocket::create();
-  ASSERT_TRUE(client.ok());
-
-  UdpSocket::RecvBatch batch(4, 16);
-  batch.ensure_slot_bytes(512);
-  const std::string payload(200, 'p');
-  ASSERT_TRUE(client.value().send_to(addr, bytes(payload)).ok());
-  auto n = server.value().recv_many(batch, millis(300));
-  ASSERT_TRUE(n.ok());
-  ASSERT_EQ(n.value(), 1u);
-  EXPECT_EQ(batch.data(0).size(), payload.size());
 }
 
 TEST(TcpTest, ListenConnectExchange) {

@@ -10,6 +10,7 @@
 #include "common/flight_recorder.hpp"
 #include "common/json_lint.hpp"
 #include "router/udp_qos_client.hpp"
+#include "server_model.hpp"
 #include "testing/fault_injector.hpp"
 
 namespace janus::server {
@@ -52,17 +53,11 @@ class QosServerTest : public ::testing::Test {
   std::unique_ptr<db::RuleStore> store_;
 };
 
-/// Every end-to-end behavior must hold in both threading modes — the mode
-/// changes scheduling and locking, never observable semantics.
+/// The end-to-end behaviors, run once per server execution model (see
+/// server_model.hpp).
 class QosServerModeTest
     : public QosServerTest,
-      public ::testing::WithParamInterface<core::ThreadingMode> {
- protected:
-  std::unique_ptr<QosServerNode> start_server(QosServerConfig cfg = {}) {
-    cfg.threading = GetParam();
-    return QosServerTest::start_server(std::move(cfg));
-  }
-};
+      public ::testing::WithParamInterface<testing::ServerModel> {};
 
 TEST_P(QosServerModeTest, AnswersCheckRequests) {
   auto server = start_server();
@@ -211,18 +206,10 @@ TEST_P(QosServerModeTest, PeriodicRefillModeWorksEndToEnd) {
   EXPECT_TRUE(call(server->addr(), "tick").allowed);
 }
 
-TEST_P(QosServerModeTest, ThreadingModeGaugeReflectsMode) {
-  auto server = start_server();
-  const std::int64_t want =
-      GetParam() == core::ThreadingMode::kShardPerWorker ? 1 : 0;
-  EXPECT_EQ(server->metrics().snapshot().at("server.threading_mode"), want);
-}
-
 TEST_P(QosServerModeTest, TimingSamplerSamplesExactlyOneInEight) {
-  // The 1-in-8 decimation uses a thread-local counter on the listener, so a
-  // fresh server samples datagrams 0, 8, 16, ... deterministically: 80
-  // sequential requests land exactly 10 observations in the latency
-  // histograms — in either mode (the sampling decision precedes dispatch).
+  // The 1-in-8 decimation keys off server.received, so a fresh server
+  // samples datagrams 0, 8, 16, ... deterministically: 80 sequential
+  // requests land exactly 10 observations in the latency histograms.
   auto server = start_server();
   router::UdpClientConfig ccfg;
   ccfg.timeout = millis(500);
@@ -243,14 +230,8 @@ TEST_P(QosServerModeTest, TimingSamplerSamplesExactlyOneInEight) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Modes, QosServerModeTest,
-    ::testing::Values(core::ThreadingMode::kSharedQueue,
-                      core::ThreadingMode::kShardPerWorker),
-    [](const ::testing::TestParamInfo<core::ThreadingMode>& tpi) {
-      return tpi.param == core::ThreadingMode::kShardPerWorker
-                 ? "ShardPerWorker"
-                 : "SharedQueue";
-    });
+    Modes, QosServerModeTest, testing::AllServerModels(),
+    [](const auto& tpi) { return testing::server_model_name(tpi.param); });
 
 TEST_F(QosServerTest, DbGaugesReportRulesTable) {
   auto server = start_server();
@@ -260,56 +241,6 @@ TEST_F(QosServerTest, DbGaugesReportRulesTable) {
             static_cast<std::int64_t>(store_->memory_bytes()));
   EXPECT_GT(snap.at("server.db_bytes"), 0);
 }
-
-TEST_F(QosServerTest, ShardPerWorkerExposesDepthGauges) {
-  QosServerConfig cfg;
-  cfg.worker_threads = 2;
-  cfg.threading = core::ThreadingMode::kShardPerWorker;
-  auto server = start_server(cfg);
-  call(server->addr(), "alice");
-  auto snap = server->metrics().snapshot();
-  ASSERT_TRUE(snap.count("server.worker_queue_depth.w0"));
-  ASSERT_TRUE(snap.count("server.worker_queue_depth.w1"));
-  // The gauge is a load signal, not a linearizable count: the listener's
-  // post-push publish can land after the worker already drained, so a just-
-  // answered request may leave a stale 1. Only the range is guaranteed.
-  for (const char* g : {"server.worker_queue_depth.w0",
-                        "server.worker_queue_depth.w1"}) {
-    EXPECT_GE(snap.at(g), 0) << g;
-    EXPECT_LE(snap.at(g), 1) << g;
-  }
-  // Shared-queue mode must NOT register per-worker gauges.
-  auto shared = QosServerTest::start_server();
-  EXPECT_FALSE(
-      shared->metrics().snapshot().count("server.worker_queue_depth.w0"));
-}
-
-TEST_F(QosServerTest, AdminExposesThreadingModeAndDepth) {
-  QosServerConfig cfg;
-  cfg.worker_threads = 2;
-  cfg.threading = core::ThreadingMode::kShardPerWorker;
-  auto server = start_server(cfg);
-  auto admin_addr = server->start_admin({"127.0.0.1", 0});
-  ASSERT_TRUE(admin_addr.ok()) << admin_addr.error().message;
-
-  net::HttpClient http(admin_addr.value(), millis(2000));
-  auto metrics = http.get("/metrics");
-  ASSERT_TRUE(metrics.ok());
-  EXPECT_NE(metrics.value().body.find("janus_server_threading_mode"),
-            std::string::npos);
-  EXPECT_NE(metrics.value().body.find("janus_server_worker_queue_depth_w0"),
-            std::string::npos);
-
-  auto statusz = http.get("/statusz");
-  ASSERT_TRUE(statusz.ok());
-  EXPECT_NE(statusz.value().body.find("\"server.threading_mode\":1"),
-            std::string::npos);
-  EXPECT_NE(statusz.value().body.find("server.worker_queue_depth.w1"),
-            std::string::npos);
-}
-
-// --- QosServerConfig validation (the PR 5 bugfix): start() must reject or
-// repair nonsense instead of hanging loops / crashing on modulo-by-zero. ---
 
 TEST_P(QosServerModeTest, WatchdogFlagsStalledWorker) {
   // A worker that sleeps through whole watchdog ticks while work is queued
@@ -383,6 +314,9 @@ TEST_F(QosServerTest, ChaosFaultFireTriggersParseableAutoDump) {
   EXPECT_NE(content.find("\"name\":\"fault_fire\""), std::string::npos);
 }
 
+// --- QosServerConfig validation: start() must reject or repair nonsense
+// instead of hanging loops / crashing on modulo-by-zero. ---
+
 TEST(QosServerConfigValidation, RejectsZeroWorkers) {
   QosServerConfig cfg;
   cfg.worker_threads = 0;
@@ -399,36 +333,15 @@ TEST(QosServerConfigValidation, RejectsZeroShards) {
   EXPECT_NE(v.error().message.find("table_shards"), std::string::npos);
 }
 
-TEST(QosServerConfigValidation, ShardPerWorkerNeedsShardPerEveryWorker) {
+TEST(QosServerConfigValidation, ClampsBatchSize) {
   QosServerConfig cfg;
-  cfg.worker_threads = 8;
-  cfg.admission.table_shards = 4;
-  cfg.threading = core::ThreadingMode::kShardPerWorker;
-  auto v = QosServerNode::validate_config(cfg);
-  ASSERT_FALSE(v.ok());
-  EXPECT_NE(v.error().message.find("shard-per-worker"), std::string::npos);
-  // The same deficit is fine in shared-queue mode (any worker, any shard).
-  cfg.threading = core::ThreadingMode::kSharedQueue;
-  EXPECT_TRUE(QosServerNode::validate_config(cfg).ok());
-  // And fine sharded once every worker can own at least one shard.
-  cfg.threading = core::ThreadingMode::kShardPerWorker;
-  cfg.admission.table_shards = 8;
-  EXPECT_TRUE(QosServerNode::validate_config(cfg).ok());
-}
-
-TEST(QosServerConfigValidation, ClampsBatchSizesAndFifoCapacity) {
-  QosServerConfig cfg;
-  cfg.recv_batch = 0;      // would spin recv_many(0) forever
-  cfg.send_batch = 100000; // recvmmsg/sendmmsg cap at kMaxBatch
-  cfg.fifo_capacity = 1;   // degenerate queue
+  cfg.send_batch = 0;  // would spin recv_many(0) forever
   auto v = QosServerNode::validate_config(cfg);
   ASSERT_TRUE(v.ok());
-  EXPECT_EQ(v.value().recv_batch, 1u);
-  EXPECT_EQ(v.value().send_batch, net::UdpSocket::kMaxBatch);
-  EXPECT_EQ(v.value().fifo_capacity, 64u);
-  cfg.fifo_capacity = std::size_t{1} << 30;
-  EXPECT_EQ(QosServerNode::validate_config(cfg).value().fifo_capacity,
-            std::size_t{1} << 20);
+  EXPECT_EQ(v.value().send_batch, 1u);
+  cfg.send_batch = 100000;  // recvmmsg/sendmmsg cap at kMaxBatch
+  EXPECT_EQ(QosServerNode::validate_config(cfg).value().send_batch,
+            net::UdpSocket::kMaxBatch);
 }
 
 TEST_F(QosServerTest, StartSurfacesValidationError) {
@@ -441,14 +354,12 @@ TEST_F(QosServerTest, StartSurfacesValidationError) {
 
 TEST_F(QosServerTest, StartAppliesClampedConfig) {
   QosServerConfig cfg;
-  cfg.recv_batch = 0;
-  cfg.fifo_capacity = 1;
+  cfg.send_batch = 0;
   cfg.sync_interval = Duration{0};
   cfg.checkpoint_interval = Duration{0};
   auto server = QosServerNode::start({"127.0.0.1", 0}, *store_, cfg);
   ASSERT_TRUE(server.ok()) << server.error().message;
-  EXPECT_EQ(server.value()->config().recv_batch, 1u);
-  EXPECT_EQ(server.value()->config().fifo_capacity, 64u);
+  EXPECT_EQ(server.value()->config().send_batch, 1u);
   // The repaired config still serves traffic.
   EXPECT_TRUE(call(server.value()->addr(), "alice").allowed);
 }

@@ -1,17 +1,12 @@
-// Shutdown-ordering regression (DESIGN.md §9.1). In shard-per-worker mode
-// the listener is the sole SPSC producer for the worker rings;
-// QosServerNode::stop() must join it BEFORE the workers are allowed to
-// exit, or a worker that saw stopping_ with a momentarily-empty ring could
-// leave while the listener's final recvmmsg batch was still being fanned
-// out — stranding accepted jobs that are then neither answered nor counted
-// dropped. Shared-queue workers read the socket themselves and must finish
-// every batch they received. The invariant that pins this down, in both
-// threading modes, under a concurrent blast:
+// Shutdown accounting (DESIGN.md §9.1). Workers read the socket themselves
+// and must finish every batch they received before stop() returns. The
+// invariant that pins this down, under a concurrent blast:
 //
-//   received == answered + fifo_dropped + malformed (+ cluster_deferred)
+//   received == answered + malformed (+ cluster_deferred)
 //
 // Every datagram the server received is accounted for at the moment stop()
-// returns; a stranded job breaks the equation.
+// returns; a stranded request breaks the equation. What is still in the
+// kernel queue at stop() was never received.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -23,14 +18,14 @@
 #include "db/rule_store.hpp"
 #include "net/socket.hpp"
 #include "server/qos_server_node.hpp"
+#include "server_model.hpp"
 #include "testing/fault_injector.hpp"
 #include "wire/codec.hpp"
 
 namespace janus::server {
 namespace {
 
-class ServerShutdownTest
-    : public ::testing::TestWithParam<core::ThreadingMode> {
+class ServerOverloadTest : public ::testing::Test {
  protected:
   void SetUp() override {
     store_ = std::make_unique<db::RuleStore>(db_);
@@ -46,28 +41,19 @@ std::int64_t counter_value(QosServerNode& node, const std::string& name) {
   return node.metrics().counter(name).value();
 }
 
-class ServerOverloadTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    store_ = std::make_unique<db::RuleStore>(db_);
-    ASSERT_TRUE(store_->put({.key = "tenant", .refill_per_sec = 1000,
-                             .capacity = 1000, .credit = 1000}).ok());
-  }
-
-  db::Database db_;
-  std::unique_ptr<db::RuleStore> store_;
-};
+/// Shutdown ordering, run once per server execution model (see
+/// server_model.hpp).
+class ServerShutdownTest
+    : public ServerOverloadTest,
+      public ::testing::WithParamInterface<testing::ServerModel> {};
 
 TEST_P(ServerShutdownTest, StopMidBlastStrandsNoAcceptedJobs) {
-  // Small rings + tiny batches widen the race window the ordering bug needs:
-  // the listener keeps fanning out while workers see stopping_ early.
+  // Tiny batches widen the window in which a worker holds received but
+  // unanswered requests when stop() lands.
   for (int round = 0; round < 8; ++round) {
     QosServerConfig cfg;
     cfg.worker_threads = 4;
-    cfg.fifo_capacity = 256;
-    cfg.recv_batch = 8;
     cfg.send_batch = 8;
-    cfg.threading = GetParam();
     cfg.sync_interval = Duration{0};
     cfg.checkpoint_interval = Duration{0};
     cfg.watchdog_interval = Duration{0};
@@ -102,20 +88,19 @@ TEST_P(ServerShutdownTest, StopMidBlastStrandsNoAcceptedJobs) {
 
     const std::int64_t received = counter_value(*node, "server.received");
     const std::int64_t answered = counter_value(*node, "server.answered");
-    const std::int64_t dropped = counter_value(*node, "server.fifo_dropped");
     const std::int64_t malformed = counter_value(*node, "server.malformed");
     const std::int64_t deferred =
         counter_value(*node, "server.cluster_deferred");
     EXPECT_GT(received, 0) << "round " << round << ": blast never landed";
-    EXPECT_EQ(received, answered + dropped + malformed + deferred)
-        << "round " << round << ": stranded jobs (received=" << received
-        << " answered=" << answered << " dropped=" << dropped
-        << " malformed=" << malformed << " deferred=" << deferred << ")";
+    EXPECT_EQ(received, answered + malformed + deferred)
+        << "round " << round << ": stranded requests (received=" << received
+        << " answered=" << answered << " malformed=" << malformed
+        << " deferred=" << deferred << ")";
   }
 }
 
 TEST_F(ServerOverloadTest, SharedQueueBlastShedsInTheKernelQueue) {
-  // Shared-queue mode has no user-space FIFO: the socket's kernel receive
+  // The server has no user-space FIFO: the socket's kernel receive
   // queue buffers requests and sheds the overflow, exported as
   // server.rx_dropped. A burst of 5000 datagrams against one worker slowed
   // to 200 µs a datagram must overflow it (the default receive buffer holds
@@ -145,21 +130,18 @@ TEST_F(ServerOverloadTest, SharedQueueBlastShedsInTheKernelQueue) {
 
   const std::int64_t received = counter_value(*node, "server.received");
   const std::int64_t answered = counter_value(*node, "server.answered");
-  const std::int64_t dropped = counter_value(*node, "server.fifo_dropped");
   const std::int64_t malformed = counter_value(*node, "server.malformed");
   const std::int64_t deferred =
       counter_value(*node, "server.cluster_deferred");
   EXPECT_GT(counter_value(*node, "server.rx_dropped"), 0)
       << "the kernel queue never overflowed (received=" << received << ")";
   EXPECT_GT(received, 0);
-  EXPECT_EQ(dropped, 0) << "shared-queue mode has no user-space ring";
-  EXPECT_EQ(received, answered + dropped + malformed + deferred)
+  EXPECT_EQ(received, answered + malformed + deferred)
       << "received=" << received << " answered=" << answered;
 }
 
 TEST_P(ServerShutdownTest, StopOnIdleServerIsCleanAndIdempotent) {
   QosServerConfig cfg;
-  cfg.threading = GetParam();
   cfg.sync_interval = Duration{0};
   cfg.checkpoint_interval = Duration{0};
   auto started = QosServerNode::start({"127.0.0.1", 0}, *store_, cfg);
@@ -172,14 +154,8 @@ TEST_P(ServerShutdownTest, StopOnIdleServerIsCleanAndIdempotent) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Modes, ServerShutdownTest,
-    ::testing::Values(core::ThreadingMode::kSharedQueue,
-                      core::ThreadingMode::kShardPerWorker),
-    [](const auto& info) {
-      return info.param == core::ThreadingMode::kSharedQueue
-                 ? "SharedQueue"
-                 : "ShardPerWorker";
-    });
+    Modes, ServerShutdownTest, testing::AllServerModels(),
+    [](const auto& tpi) { return testing::server_model_name(tpi.param); });
 
 }  // namespace
 }  // namespace janus::server

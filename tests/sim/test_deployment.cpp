@@ -354,13 +354,12 @@ TEST(ClosedLoopDriverTest, SaturatesAndMeasures) {
   EXPECT_GT(m.decided_throughput(), 1000.0);
 }
 
-TEST(SimDeploymentTest, ShardPerWorkerLiftsSerialLockCeiling) {
-  // The PR 5 tentpole in model form: kSharedQueue pays CostModel::server_lock
-  // as serial work per decision (the paper's synchronized-table ceiling),
-  // kShardPerWorker parallelizes it away. With the lock cost inflated so the
-  // serial section dominates, the same seeded closed loop must decide
-  // markedly more per second in shard-per-worker mode.
-  auto run_mode = [](core::ThreadingMode mode) {
+TEST(SimDeploymentTest, SerialLockCostSetsThroughputCeiling) {
+  // Each decision pays CostModel::server_lock as serial work (the paper's
+  // synchronized-table ceiling). With the lock cost inflated so the serial
+  // section dominates, the same seeded closed loop must decide markedly
+  // more per second once that cost is zero.
+  auto run_with_lock = [](Duration server_lock) {
     Simulation sim;
     DeploymentConfig cfg = small_config();
     cfg.server_nodes = 1;
@@ -368,9 +367,8 @@ TEST(SimDeploymentTest, ShardPerWorkerLiftsSerialLockCeiling) {
     // Make the synchronized section the bottleneck: nearly the whole 45 us
     // decision serializes (1/40 us = 25 krps ceiling), while the listener
     // overhead is trimmed so the 4 cores could otherwise do ~44 krps.
-    cfg.costs.server_lock = micros(40);
+    cfg.costs.server_lock = server_lock;
     cfg.costs.server_cpu_overhead = micros(45);
-    cfg.threading = mode;
     SimDeployment dep(sim, cfg);
     provision(dep.rules(), "hot", 1e12, 1e9);
     ClosedLoopDriver driver(dep, /*clients=*/64, /*client_nodes=*/8,
@@ -384,11 +382,11 @@ TEST(SimDeploymentTest, ShardPerWorkerLiftsSerialLockCeiling) {
     return m.decided_throughput();
   };
 
-  const double shared = run_mode(core::ThreadingMode::kSharedQueue);
-  const double sharded = run_mode(core::ThreadingMode::kShardPerWorker);
-  EXPECT_GT(shared, 1000.0);
-  EXPECT_GT(sharded, shared * 1.2)
-      << "shared=" << shared << " sharded=" << sharded;
+  const double locked = run_with_lock(micros(40));
+  const double unlocked = run_with_lock(Duration{0});
+  EXPECT_GT(locked, 1000.0);
+  EXPECT_GT(unlocked, locked * 1.2)
+      << "locked=" << locked << " unlocked=" << unlocked;
 }
 
 TEST(OpenLoopDriverTest, HoldsTargetRate) {

@@ -290,8 +290,8 @@ TEST(RequestViewCodecTest, ToOwnedRoundTripsThroughView) {
   req.trace_id = "t-1";
   auto view = decode_request_view(encode(req));
   ASSERT_TRUE(view.ok());
-  // to_owned() copies out of a buffer that is about to die.
-  QosRequest owned = view.value().to_owned();
+  // to_request() copies out of a buffer that is about to die.
+  QosRequest owned = view.value().to_request();
   EXPECT_EQ(owned, req);
 }
 

@@ -8,13 +8,6 @@
 # A line may be waived with an inline `// sync-ok: <reason>` comment — used
 # for false positives such as std::weak_ptr::lock() (not a mutex).
 #
-# PR 5 adds a second guard: the ShardedQosTable *unlocked* accessors
-# (with_entry_unlocked & friends) bypass the shard mutexes entirely and are
-# only sound from a thread holding the owning ShardOwnerToken. Outside their
-# definitions in src/core/qos_table.hpp, every call site must carry an
-# inline `// unlocked-ok: <reason>` waiver naming why it holds the token —
-# the waiver list IS the audit trail for the lock-free path.
-#
 # Usage: tools/check_sync_usage.sh [repo-root]
 set -euo pipefail
 
@@ -62,33 +55,10 @@ scan() {
 scan "$raw_primitives" "raw standard-library sync primitive"
 scan "$manual_calls" "manual lock()/unlock() call (use MutexLock/ReaderLock/WriterLock)"
 
-# --- owner-token guard: unsynchronized table accessors need a waiver -------
-# The accessor definitions live in src/core/qos_table.hpp; every *use*
-# elsewhere must be waived with `// unlocked-ok: <reason>` on the call line
-# or the line directly above it (so long call expressions stay readable).
-other_files=$(echo "$files" | grep -v '^src/core/qos_table\.hpp$')
-hits=$(awk '
-    FNR == 1 { waived = 0 }
-    /(with_entry_unlocked|with_entry_or_create_unlocked|erase_unlocked|for_each_owned)[ \t]*[(<]/ {
-        if (!waived && !/unlocked-ok:/) printf "%s:%d:%s\n", FILENAME, FNR, $0
-    }
-    { waived = /unlocked-ok:/ ? 1 : 0 }
-' $other_files)
-if [ -n "$hits" ]; then
-    echo "check_sync_usage: ShardedQosTable unlocked accessor referenced" >&2
-    echo "without an '// unlocked-ok: <reason>' owner-token waiver:" >&2
-    echo "$hits" >&2
-    echo "" >&2
-    status=1
-fi
-
 if [ "$status" -ne 0 ]; then
     echo "check_sync_usage: use janus::Mutex / janus::SharedMutex / janus::CondVar" >&2
     echo "from common/sync.hpp, or waive a false positive with '// sync-ok: <reason>'." >&2
-    echo "Unlocked table accessors additionally need '// unlocked-ok: <reason>'" >&2
-    echo "proving the call site holds the owning ShardOwnerToken." >&2
     exit 1
 fi
 
-echo "check_sync_usage: OK (no raw sync primitives outside src/common/sync.*;"
-echo "check_sync_usage:     all unlocked-accessor call sites carry owner-token waivers)"
+echo "check_sync_usage: OK (no raw sync primitives outside src/common/sync.*)"

@@ -1,54 +1,37 @@
 #!/bin/bash
-# Doc-drift guard for the threading-mode section (DESIGN.md §9.1).
-# Shard-per-worker correctness hangs on a small capability surface — the
-# owner token, the owned accessors, the per-worker queues, the maintenance
-# command plumbing. If one of those symbols is renamed or removed the
-# section must follow, and if the section loses one the ownership rule is
-# rotting. Two directions (dg_symbol_sync), plus the companion artifacts:
-# BENCH_PR5.json must exist, carry the shard_per_worker_speedup ratio, and
-# meet the 1.5x acceptance floor.
+# Doc-drift guard for the execution-model section (DESIGN.md §9.1).
+# The QoS server has one execution model — N workers blocked on the shared
+# socket, the kernel receive queue as the FIFO — and its correctness hangs
+# on a small surface: the worker loop, the batch decision routine, the
+# read-side shutdown that stops it, the backlog probe the watchdog reads,
+# and the locked maintenance pass. If one of those symbols is renamed or
+# removed the section must follow, and if the section loses one the model
+# description is rotting. Two directions (dg_symbol_sync), plus the tests
+# that pin the model's invariants.
 source "$(CDPATH= cd -- "$(dirname -- "$0")" && pwd)/lib/doc_guard.sh"
 dg_init check_threading_doc
 
-dg_require_section '^### 9\.1 Threading modes'
+dg_require_section '^### 9\.1 One execution model'
 
 # symbol -> file that must define it. Keep in lock-step with DESIGN.md §9.1.
 dg_symbol_sync "§9.1" \
-  "ThreadingMode:$src/core/admission.hpp" \
-  "kShardPerWorker:$src/core/admission.hpp" \
-  "ShardOwnerToken:$src/core/qos_table.hpp" \
-  "claim_shards:$src/core/qos_table.hpp" \
-  "shard_index_of:$src/core/qos_table.hpp" \
-  "with_entry_unlocked:$src/core/qos_table.hpp" \
-  "with_entry_or_create_unlocked:$src/core/qos_table.hpp" \
-  "check_owned:$src/core/admission.hpp" \
-  "probe_owned:$src/core/admission.hpp" \
-  "refill_owned:$src/core/admission.hpp" \
-  "sync_owned:$src/core/admission.hpp" \
-  "checkpoint_owned:$src/core/admission.hpp" \
-  "SpscQueue:$src/common/spsc_queue.hpp" \
-  "MaintCmd:$src/server/qos_server_node.hpp" \
-  "dispatch_maintenance:$src/server/qos_server_node.hpp" \
-  "worker_loop_sharded:$src/server/qos_server_node.hpp" \
   "worker_loop:$src/server/qos_server_node.hpp" \
+  "run_jobs:$src/server/qos_server_node.hpp" \
+  "JobView:$src/server/qos_server_node.hpp" \
+  "sync_now:$src/server/qos_server_node.hpp" \
+  "checkpoint_now:$src/server/qos_server_node.hpp" \
+  "validate_config:$src/server/qos_server_node.hpp" \
+  "shard_index_of:$src/core/qos_table.hpp" \
   "shutdown_read:$src/net/socket.hpp" \
-  "rx_next_bytes:$src/net/socket.hpp" \
-  "validate_config:$src/server/qos_server_node.hpp"
+  "rx_next_bytes:$src/net/socket.hpp"
 
-# The lock-rank table must carry the park handshake row (§8) and the metric
-# table the mode gauge and the shared-queue mode's kernel-queue drops (§6) —
-# all part of the threading contract.
-dg_require_backticked "§8/§6" \
-  server.worker_park server.threading_mode server.worker_queue_depth.w \
-  server.rx_dropped
+# The metric table must carry the kernel-queue drops (§6): the only place
+# the model sheds load.
+dg_require_backticked "§6" server.rx_dropped
 
 dg_require_artifacts "§9.1" \
-  "$repo_root/BENCH_PR5.json" \
-  "$repo_root/tools/run_bench_suite.sh" \
+  "$repo_root/tests/server/test_server_shutdown.cpp" \
   "$repo_root/tests/perf/test_hotpath_allocs.cpp" \
   "$repo_root/tests/sim/test_deployment.cpp"
-
-dg_bench_bound "$repo_root/BENCH_PR5.json" derived.shard_per_worker_speedup \
-  floor 1.5
 
 dg_finish

@@ -117,7 +117,6 @@ SEQLOCK_WRITERS = {
 }
 NOTE_CALLERS = {
     "ShardedQosTable::note_decision",
-    "ShardedQosTable::note_decision_owned",
     "HotKeySketch::note",
 }
 

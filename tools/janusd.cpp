@@ -2,8 +2,7 @@
 //
 //   janusd server --listen 127.0.0.1:9100 --rules rules.conf
 //                 [--wal janus.wal] [--workers 4] [--shards 16]
-//                 [--threading shared-queue|shard-per-worker]
-//                 [--data-path auto|fallback|mmsg|uring] [--pin-workers]
+//                 [--data-path auto|fallback|mmsg]
 //                 [--sync-ms 5000] [--checkpoint-ms 5000]
 //                 [--snapshot janus.snap --compact-ms 60000]
 //                 [--default-rate R --default-capacity C]
@@ -38,7 +37,7 @@
 // bound ports are printed on stdout (and flushed) so test fixtures can
 // parse them when binding port 0.
 //
-// Observability flags (both roles):
+// Observability flags (every role):
 //   --admin ip:port    mount /metrics (Prometheus), /healthz, /statusz,
 //                      /tracez (flight-recorder Perfetto JSON)
 //   --stats-ms N       log a one-line metrics snapshot every N ms
@@ -52,7 +51,8 @@
 //   tenant-42 = 100 1000
 //   10.0.0.7  = 5 20 12.5
 //
-// A SIGINT/SIGTERM stops the node cleanly.
+// A flag the role does not read is rejected (exit 2), so a typo never
+// silently falls back to a default. A SIGINT/SIGTERM stops the node cleanly.
 #include <signal.h>
 
 #include <algorithm>
@@ -60,6 +60,10 @@
 #include <cstdio>
 #include <cstring>
 #include <functional>
+#include <map>
+#include <optional>
+#include <set>
+#include <string>
 
 #include "cluster/coordinator.hpp"
 #include "common/flight_recorder.hpp"
@@ -103,8 +107,29 @@ void wait_for_stop_signal() {
   while (!g_stop) sigsuspend(&g_wait_mask);
 }
 
-/// "--flag value" / "--flag=value" argument map; false on unknown syntax.
-bool parse_flags(int argc, char** argv, int first,
+using FlagSet = std::set<std::string, std::less<>>;
+
+/// The flags each role reads (observability flags are added for every role).
+const FlagSet kServerFlags = {
+    "listen",         "rules",      "wal",           "workers",
+    "shards",         "data-path",  "sync-ms",       "checkpoint-ms",
+    "snapshot",       "compact-ms", "default-rate",  "default-capacity",
+    "cluster-listen", "bfd-listen", "migrate-window-ms",
+    "ha-listen",      "ha-master",  "ha-ms"};
+const FlagSet kRouterFlags = {
+    "listen",  "backends", "timeout-us", "retries", "default-allow",
+    "cluster", "members",  "standbys",   "bfd-ms",  "bfd-mult"};
+const FlagSet kGatewayFlags = {
+    "listen",      "backends", "policy",  "timeout-ms",      "workers",
+    "probe-ms",    "probe-d",  "probe-age-ms", "probe-reuse",
+    "probe-timeout-ms"};
+const FlagSet kObservabilityFlags = {"admin", "stats-ms", "log-level",
+                                     "trace-dump"};
+
+/// "--flag value" / "--flag=value" argument map; false (after printing) on
+/// unknown syntax or a flag that `role` does not read.
+bool parse_flags(int argc, char** argv, int first, const char* role,
+                 const FlagSet& known,
                  std::map<std::string, std::string>& out) {
   for (int i = first; i < argc; ++i) {
     std::string_view arg = argv[i];
@@ -113,12 +138,21 @@ bool parse_flags(int argc, char** argv, int first,
       return false;
     }
     std::string name(arg.substr(2));
+    std::optional<std::string> value;
     if (auto eq = name.find('='); eq != std::string::npos) {
-      out[name.substr(0, eq)] = name.substr(eq + 1);
+      value = name.substr(eq + 1);
+      name.resize(eq);
+    }
+    if (!known.contains(name) && !kObservabilityFlags.contains(name)) {
+      std::fprintf(stderr, "janusd %s: unknown flag --%s\n", role,
+                   name.c_str());
+      return false;
+    }
+    if (value) {
+      out[name] = *value;
       continue;
     }
-    if (name == "default-allow" || name == "cluster" ||
-        name == "pin-workers") {  // boolean flags
+    if (name == "default-allow" || name == "cluster") {  // boolean flags
       out[name] = "true";
       continue;
     }
@@ -277,31 +311,17 @@ int run_server(const std::map<std::string, std::string>& flags) {
   cfg.worker_threads = static_cast<std::size_t>(get_int("workers", 4));
   cfg.admission.table_shards =
       static_cast<std::size_t>(get_int("shards", 16));
-  if (auto it = flags.find("threading"); it != flags.end()) {
-    if (it->second == "shard-per-worker") {
-      cfg.threading = core::ThreadingMode::kShardPerWorker;
-    } else if (it->second == "shared-queue") {
-      cfg.threading = core::ThreadingMode::kSharedQueue;
-    } else {
-      std::fprintf(stderr,
-                   "janusd: --threading must be shared-queue or "
-                   "shard-per-worker (got '%s')\n",
-                   it->second.c_str());
-      return 2;
-    }
-  }
   if (auto it = flags.find("data-path"); it != flags.end()) {
     auto path = net::UdpSocket::data_path_from_name(it->second);
     if (!path) {
       std::fprintf(stderr,
-                   "janusd: --data-path must be auto, fallback, mmsg, or "
-                   "uring (got '%s')\n",
+                   "janusd: --data-path must be auto, fallback or mmsg "
+                   "(got '%s')\n",
                    it->second.c_str());
       return 2;
     }
     cfg.data_path = *path;
   }
-  cfg.pin_workers = flags.count("pin-workers") > 0;
   cfg.sync_interval = millis(get_int("sync-ms", 5000));
   cfg.checkpoint_interval = millis(get_int("checkpoint-ms", 5000));
   const double default_rate = get_double("default-rate", 0.0);
@@ -314,13 +334,10 @@ int run_server(const std::map<std::string, std::string>& flags) {
     std::fprintf(stderr, "janusd: %s\n", node.error().message.c_str());
     return 1;
   }
-  std::printf("janusd: QoS server on %s (%zu rules, %zu workers, %s, "
+  std::printf("janusd: QoS server on %s (%zu rules, %zu workers, "
               "data-path %s)\n",
               node.value()->addr().to_string().c_str(), store.size(),
               cfg.worker_threads,
-              cfg.threading == core::ThreadingMode::kShardPerWorker
-                  ? "shard-per-worker"
-                  : "shared-queue",
               net::UdpSocket::data_path_name(
                   node.value()->resolved_data_path()));
   // Flushed line-by-line: cluster test fixtures parse bound ports from a
@@ -343,16 +360,6 @@ int run_server(const std::map<std::string, std::string>& flags) {
   // HA comes first so the agent's promotion hook can capture the replica.
   std::unique_ptr<server::HaSnapshotServer> ha_server;
   std::unique_ptr<server::HaReplicaClient> ha_replica;
-  if (flags.count("ha-listen") || flags.count("ha-master")) {
-    if (cfg.threading == core::ThreadingMode::kShardPerWorker) {
-      // HA replication walks the table through the locked accessors, which
-      // the shard-per-worker ownership discipline forbids while workers run.
-      std::fprintf(stderr,
-                   "janusd: HA snapshot replication requires --threading "
-                   "shared-queue\n");
-      return 2;
-    }
-  }
   if (auto it = flags.find("ha-listen"); it != flags.end()) {
     auto addr = parse_addr(it->second);
     if (!addr.ok()) {
@@ -455,8 +462,8 @@ int run_server(const std::map<std::string, std::string>& flags) {
   std::printf("janusd: stopping\n");
   if (stats_task) stats_task->stop();
   if (compactor) compactor->stop();
-  // The agent drives migration passes through the node's worker queues, so
-  // it must stop before the node's workers do.
+  // The agent migrates entries in and out of the node's table, so it stops
+  // before the node does.
   if (cluster_agent) cluster_agent->stop();
   if (bfd) bfd->stop();
   if (ha_replica) ha_replica->stop();
@@ -697,12 +704,20 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "usage: janusd <server|router|gateway> --flags...\n");
     return 2;
   }
-  std::map<std::string, std::string> flags;
-  if (!parse_flags(argc, argv, 2, flags)) return 2;
-
-  if (std::strcmp(argv[1], "server") == 0) return run_server(flags);
-  if (std::strcmp(argv[1], "router") == 0) return run_router(flags);
-  if (std::strcmp(argv[1], "gateway") == 0) return run_gateway(flags);
+  struct Role {
+    const char* name;
+    const FlagSet& flags;
+    int (*run)(const std::map<std::string, std::string>&);
+  };
+  const Role roles[] = {{"server", kServerFlags, run_server},
+                        {"router", kRouterFlags, run_router},
+                        {"gateway", kGatewayFlags, run_gateway}};
+  for (const Role& role : roles) {
+    if (std::strcmp(argv[1], role.name) != 0) continue;
+    std::map<std::string, std::string> flags;
+    if (!parse_flags(argc, argv, 2, role.name, role.flags, flags)) return 2;
+    return role.run(flags);
+  }
   std::fprintf(stderr, "janusd: unknown role '%s'\n", argv[1]);
   return 2;
 }
